@@ -26,6 +26,11 @@ _TRIPLES = list(itertools.combinations(range(6), 3))  # 20 index triples
 
 _R1 = np.array([p[0] for p in _PAIRS])
 _R2 = np.array([p[1] for p in _PAIRS])
+_T = np.array(_TRIPLES)
+
+# 1-based index tuples, as reported in locations and pairings.
+_PAIRS_1 = [(i + 1, j + 1) for i, j in _PAIRS]
+_TRIPLES_1 = [tuple(i + 1 for i in t) for t in _TRIPLES]
 
 FORBIDDEN_COUNTS = frozenset({10, 11, 12, 13, 14, 15, 16, 18})
 
@@ -44,6 +49,14 @@ def _perfect_matchings(elems):
 
 
 _PAIRINGS = _perfect_matchings((0, 1, 2, 3, 4, 5))  # 15 pairings
+_PAIRINGS_1 = [tuple((i + 1, j + 1) for i, j in pairing) for pairing in _PAIRINGS]
+
+# Flat residual-table indices of the nine blocks of each of the 15 x 15
+# (row pairing, column pairing) combinations: row k = 15 * rp + cp.
+_PAIRING_PAIRS = np.array([[_PAIRS.index(pair) for pair in pairing] for pairing in _PAIRINGS])
+_H2_BLOCKS = (
+    _PAIRING_PAIRS[:, None, :, None] * len(_PAIRS) + _PAIRING_PAIRS[None, :, None, :]
+).reshape(len(_PAIRINGS) ** 2, 9)
 
 
 @dataclass(frozen=True)
@@ -119,37 +132,39 @@ def is_sub_chm_2x2(a, b, c, d, tol: Tolerance = DEFAULT_TOL) -> CheckResult:
     return CheckResult(residual <= tol.eps, residual)
 
 
-def _pair_residuals(M):
-    # Residuals |ad + bc| for all 225 2x2 submatrices at once, plus the
-    # cross-check |a conj(c) + b conj(d)|; index [p, q] is row pair p, col pair q.
+def _residual_table(M, tol: Tolerance) -> np.ndarray:
+    """Validated 15x15 table of the 2x2 residuals |ad + bc| of a 6x6 CHM.
+
+    Entry [p, q] belongs to row pair p and column pair q. Every 2x2 check
+    (census, block pairings, the forbidden-count rule) reads this table, so
+    the input is validated once: a 6x6 CHM, and the cross-check
+    |a conj(c) + b conj(d)| agrees within 10*eps on all 225 submatrices.
+    """
+    M = as_matrix(M)
+    if M.shape != (6, 6):
+        raise DimensionMismatchError(f"expected a 6x6 matrix, got {M.shape}")
+    check = is_chm(M, tol)
+    if not check.ok:
+        raise NotCHMError(f"expected a CHM (residual {check.residual:.3g})")
     a = M[_R1[:, None], _R1[None, :]]
     b = M[_R1[:, None], _R2[None, :]]
     c = M[_R2[:, None], _R1[None, :]]
     d = M[_R2[:, None], _R2[None, :]]
     residual = np.abs(a * d + b * c)
     alt = np.abs(a * np.conj(c) + b * np.conj(d))
-    return residual, alt
+    worst = float(np.abs(residual - alt).max())
+    if worst > 10 * tol.eps:
+        raise OracleDisagreementError(f"2x2 predicates disagree by {worst:.3g}")
+    return residual
 
 
 def census_2x2(M, tol: Tolerance = DEFAULT_TOL) -> CensusResult:
     """Count and locate the 2x2 sub-CHMs among the 225 submatrices of a 6x6 CHM."""
-    M = as_matrix(M)
-    if M.shape != (6, 6):
-        raise DimensionMismatchError(f"expected a 6x6 matrix, got {M.shape}")
-    check = is_chm(M, tol)
-    if not check.ok:
-        raise NotCHMError(f"census requires a CHM (residual {check.residual:.3g})")
-    residual, alt = _pair_residuals(M)
-    worst = float(np.abs(residual - alt).max())
-    if worst > 10 * tol.eps:
-        raise OracleDisagreementError(f"2x2 predicates disagree by {worst:.3g}")
-    hits = residual <= tol.eps
-    locations = []
-    for p, (r1, r2) in enumerate(_PAIRS):
-        for q, (c1, c2) in enumerate(_PAIRS):
-            if hits[p, q]:
-                locations.append(SubmatrixLoc(rows=(r1 + 1, r2 + 1), cols=(c1 + 1, c2 + 1)))
-    return CensusResult(count=len(locations), locations=tuple(locations))
+    rows, cols = np.nonzero(_residual_table(M, tol) <= tol.eps)
+    locations = tuple(
+        SubmatrixLoc(rows=_PAIRS_1[p], cols=_PAIRS_1[q]) for p, q in zip(rows, cols)
+    )
+    return CensusResult(count=len(locations), locations=locations)
 
 
 def find_3x3_sub_chms(M, tol: Tolerance = DEFAULT_TOL) -> list[SubmatrixLoc]:
@@ -161,19 +176,21 @@ def find_3x3_sub_chms(M, tol: Tolerance = DEFAULT_TOL) -> list[SubmatrixLoc]:
     M = as_matrix(M)
     if M.shape != (6, 6):
         raise DimensionMismatchError(f"expected a 6x6 matrix, got {M.shape}")
-    bound = 3 * tol.eps
-    found = []
-    for rows in _TRIPLES:
-        sub_rows = M[rows, :]
-        for cols in _TRIPLES:
-            S = sub_rows[:, cols]
-            G = S @ S.conj().T
-            worst = max(abs(G[0, 1]), abs(G[0, 2]), abs(G[1, 2]))
-            if worst <= bound:
-                found.append(
-                    SubmatrixLoc(rows=tuple(r + 1 for r in rows), cols=tuple(c + 1 for c in cols))
-                )
-    return found
+    S = M[_T[:, None, :, None], _T[None, :, None, :]]  # [row triple, col triple, i, j]
+    G = np.einsum("rcij,rckj->rcik", S, S.conj())
+    worst = np.abs(G[..., [0, 0, 1], [1, 2, 2]]).max(axis=-1)
+    rows, cols = np.nonzero(worst <= 3 * tol.eps)
+    return [SubmatrixLoc(rows=_TRIPLES_1[r], cols=_TRIPLES_1[c]) for r, c in zip(rows, cols)]
+
+
+def _h2_from_table(table, eps: float):
+    # First pairing combination, in (row pairing, column pairing) order,
+    # whose nine blocks are all hits in the residual table.
+    found = np.flatnonzero((table.ravel()[_H2_BLOCKS] <= eps).all(axis=1))
+    if found.size == 0:
+        return None
+    rp, cp = divmod(int(found[0]), len(_PAIRINGS))
+    return H2Structure(row_pairing=_PAIRINGS_1[rp], col_pairing=_PAIRINGS_1[cp])
 
 
 def h2_block_structure(M, tol: Tolerance = DEFAULT_TOL):
@@ -182,24 +199,7 @@ def h2_block_structure(M, tol: Tolerance = DEFAULT_TOL):
 
     Searches all 15 x 15 pairing combinations.
     """
-    M = as_matrix(M)
-    if M.shape != (6, 6):
-        raise DimensionMismatchError(f"expected a 6x6 matrix, got {M.shape}")
-    check = is_chm(M, tol)
-    if not check.ok:
-        raise NotCHMError(f"block search requires a CHM (residual {check.residual:.3g})")
-    for rp in _PAIRINGS:
-        for cp in _PAIRINGS:
-            if all(
-                is_sub_chm_2x2(M[r1, c1], M[r1, c2], M[r2, c1], M[r2, c2], tol).ok
-                for r1, r2 in rp
-                for c1, c2 in cp
-            ):
-                return H2Structure(
-                    row_pairing=tuple((a + 1, b + 1) for a, b in rp),
-                    col_pairing=tuple((a + 1, b + 1) for a, b in cp),
-                )
-    return None
+    return _h2_from_table(_residual_table(M, tol), tol.eps)
 
 
 def forbidden_count_check(n: int) -> bool:

@@ -114,7 +114,7 @@ def _cmd_exclusions(args) -> int:
 
 
 def _cmd_dephase(args) -> int:
-    _emit(matrix_to_obj(dephase(_resolve_matrix(args.matrix))))
+    _emit(matrix_to_obj(dephase(_resolve_matrix(args.matrix), _tol(args))))
     return 0
 
 
@@ -129,7 +129,6 @@ def _cmd_scan(args) -> int:
         out_path=args.out,
         tol=_tol(args),
         fmt=args.format,
-        workers=args.workers,
     )
     records, summary = run_scan(config)
     write_records(records, summary, config)
@@ -146,8 +145,15 @@ def _add_tol(parser) -> None:
     )
 
 
+class _Parser(argparse.ArgumentParser):
+    # argparse exits 2 on a usage error, but 2 means "unknown name" here.
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(EXIT_INVALID, f"{self.prog}: error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="chm",
         description="Structure checks and censuses for 6x6 complex Hadamard matrices.",
     )
@@ -208,7 +214,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--grid", type=int, required=True, help="points per axis (>= 2)")
     p.add_argument("--out", required=True, help="output file path")
     p.add_argument("--format", choices=["csv", "json"], default="csv")
-    p.add_argument("--workers", type=int, default=1)
     _add_tol(p)
     p.set_defaults(func=_cmd_scan)
 

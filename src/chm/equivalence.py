@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import DEFAULT_EPS, DEFAULT_TOL, Tolerance, as_matrix, is_chm
+from .core import DEFAULT_TOL, Tolerance, as_matrix, is_chm
 from .errors import (
     ChmError,
     DimensionMismatchError,
@@ -78,16 +78,16 @@ class RealSubmatrixReport:
     rank: int
 
 
-def dephase(M) -> np.ndarray:
+def dephase(M, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
     """Equivalent matrix whose first row and first column are all ones.
 
-    Entry (j,k) becomes M_jk * M_11 / (M_j1 * M_1k). Requires the first
-    row and column to be bounded away from zero.
+    Entry (j,k) becomes M_jk * M_11 / (M_j1 * M_1k). Requires every
+    first-row and first-column entry to have modulus at least eps.
     """
     M = as_matrix(M)
     col0 = M[:, 0]
     row0 = M[0, :]
-    if min(np.abs(col0).min(), np.abs(row0).min()) < DEFAULT_EPS:
+    if min(np.abs(col0).min(), np.abs(row0).min()) < tol.eps:
         raise ZeroPivotError("first row/column entry too close to zero to dephase")
     return M * (M[0, 0] / (col0[:, None] * row0[None, :]))
 
@@ -108,7 +108,7 @@ def apply_witness(M, witness: EquivalenceWitness) -> np.ndarray:
 
 def count_real_entries(M, tol: Tolerance = DEFAULT_TOL) -> int:
     """Number of entries whose imaginary part is within eps of zero."""
-    M = np.asarray(M, dtype=np.complex128)
+    M = as_matrix(M)
     return int((np.abs(M.imag) <= tol.eps).sum())
 
 
@@ -234,7 +234,7 @@ def are_equivalent(A, B, tol: Tolerance = DEFAULT_TOL, timeout: float | None = N
     d = A.shape[0]
     eps = tol.eps
 
-    Ad = dephase(A)
+    Ad = dephase(A, tol)
     sig_a = _signature(Ad)
     allowed = {}
     for s in range(d):

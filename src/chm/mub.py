@@ -13,10 +13,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .census import census_2x2, find_3x3_sub_chms, forbidden_count_check, h2_block_structure
-from .core import DEFAULT_TOL, Tolerance, as_matrix, is_chm
+from .census import _h2_from_table, _residual_table, find_3x3_sub_chms, forbidden_count_check
+from .core import DEFAULT_TOL, Tolerance, as_matrix
 from .equivalence import are_equivalent, count_real_entries
-from .errors import DimensionMismatchError, InvalidMatrixError, NotCHMError
+from .errors import DimensionMismatchError, InvalidMatrixError
 from .families import named
 
 
@@ -100,9 +100,7 @@ def exclusion_report(H, tol: Tolerance = DEFAULT_TOL) -> ExclusionReport:
     No trio search is attempted; only these conditions are applied.
     """
     H = as_matrix(H)
-    check = is_chm(H, tol)
-    if not check.ok:
-        raise NotCHMError(f"exclusion rules require a CHM (residual {check.residual:.3g})")
+    table = _residual_table(H, tol)
 
     hits = []
 
@@ -118,9 +116,9 @@ def exclusion_report(H, tol: Tolerance = DEFAULT_TOL) -> ExclusionReport:
     if witness is not None:
         hits.append(RuleHit("R3", witness.to_obj()))
 
-    structure = h2_block_structure(H, tol)
+    structure = _h2_from_table(table, tol.eps)
     if structure is not None:
-        count = census_2x2(H, tol).count
+        count = int(np.count_nonzero(table <= tol.eps))
         if not forbidden_count_check(count):
             evidence = {"count": count}
             evidence.update(structure.to_obj())

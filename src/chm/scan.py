@@ -2,18 +2,20 @@
 
 Each grid point records the 2x2 sub-CHM count, the Gram residual, whether
 a block pairing was found, and whether the count lands in the impossible
-range for block-reducible matrices. Output is written in deterministic
-grid order regardless of worker count.
+range for block-reducible matrices. The count and both flags are read
+from one validated 2x2 residual table per point. Output is written in
+deterministic grid order.
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
-from .census import census_2x2, forbidden_count_check, h2_block_structure
+import numpy as np
+
+from .census import _h2_from_table, _residual_table, forbidden_count_check
 from .core import DEFAULT_TOL, Tolerance, gram_residual
 from .families import FamilyPoint, family_h
 
@@ -26,15 +28,12 @@ class ScanConfig:
     out_path: str | Path
     tol: Tolerance = DEFAULT_TOL
     fmt: str = "csv"
-    workers: int = 1
 
     def __post_init__(self):
         if self.grid_n < 2:
             raise ValueError("grid_n must be at least 2")
         if self.fmt not in ("csv", "json"):
             raise ValueError(f"format must be csv or json, got {self.fmt!r}")
-        if self.workers < 1:
-            raise ValueError("workers must be at least 1")
 
 
 @dataclass(frozen=True)
@@ -66,31 +65,22 @@ def scan_point(x1: float, x2: float, eps: float = DEFAULT_TOL.eps) -> CensusReco
     """Census record for one family point."""
     tol = Tolerance(eps)
     M = family_h(FamilyPoint(x1, x2))
-    n = census_2x2(M, tol).count
+    table = _residual_table(M, tol)
+    n = int(np.count_nonzero(table <= eps))
     return CensusRecord(
         x1=x1,
         x2=x2,
         n=n,
         gram_residual=gram_residual(M),
-        h2_found=h2_block_structure(M, tol) is not None,
+        h2_found=_h2_from_table(table, eps) is not None,
         forbidden=not forbidden_count_check(n),
     )
-
-
-def _scan_star(args) -> CensusRecord:
-    return scan_point(*args)
 
 
 def run_scan(config: ScanConfig) -> tuple[list[CensusRecord], dict]:
     """All grid records in row-major (k1, k2) order, plus the summary."""
     xs = grid_values(config.grid_n)
-    points = [(x1, x2, config.tol.eps) for x1 in xs for x2 in xs]
-    if config.workers > 1:
-        chunk = max(1, len(points) // (4 * config.workers))
-        with ProcessPoolExecutor(max_workers=config.workers) as pool:
-            records = list(pool.map(_scan_star, points, chunksize=chunk))
-    else:
-        records = [scan_point(*p) for p in points]
+    records = [scan_point(x1, x2, config.tol.eps) for x1 in xs for x2 in xs]
     counts = [r.n for r in records]
     summary = {
         "points": len(records),

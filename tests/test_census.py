@@ -18,8 +18,17 @@ from chm import (
     h2_block_structure,
     is_sub_chm_2x2,
     named,
+    registry_names,
 )
-from util import NATURAL_PAIRING, random_witness, rng
+from util import (
+    NATURAL_PAIRING,
+    brute_force_census_2x2,
+    brute_force_h2,
+    looped_census_3x3,
+    random_point,
+    random_witness,
+    rng,
+)
 
 
 @pytest.mark.parametrize(
@@ -178,6 +187,32 @@ def test_block_structure_implies_census_at_least_nine():
         M = named(name).matrix
         if h2_block_structure(M) is not None:
             assert census_2x2(M).count >= 9
+
+
+@pytest.fixture(scope="module")
+def oracle_matrices():
+    # Registry (S6 has no block pairing, F6 a non-natural one), 200 seeded
+    # family points, and a random witness image of each.
+    gen = rng(53)
+    base = [named(name).matrix for name in registry_names()]
+    base += [family_h(random_point(gen)) for _ in range(200)]
+    return base + [apply_witness(M, random_witness(gen)) for M in base]
+
+
+def test_census_2x2_matches_scalar_oracle(oracle_matrices):
+    for M in oracle_matrices:
+        assert list(census_2x2(M).locations) == brute_force_census_2x2(M)
+
+
+def test_h2_matches_scalar_oracle(oracle_matrices):
+    found = [h2_block_structure(M) for M in oracle_matrices]
+    assert found == [brute_force_h2(M) for M in oracle_matrices]
+    assert None in found
+
+
+def test_3x3_census_matches_looped_oracle(oracle_matrices):
+    for M in oracle_matrices:
+        assert find_3x3_sub_chms(M) == looped_census_3x3(M)
 
 
 @pytest.mark.parametrize("n", range(26))

@@ -2,6 +2,7 @@ import json
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 from chm import EquivalenceWitness, apply_witness, json_dumps, matrix_to_obj, named
 from chm.cli import main
@@ -163,6 +164,19 @@ def test_dephase(capsys):
     assert all(e == {"re": 1.0, "im": 0.0} for e in doc["entries"][0])
 
 
+def test_dephase_uses_tol(capsys, tmp_path):
+    M = named("F6").matrix.copy()
+    M[1, 0] = 5e-10  # first-column pivot below the default eps
+    arg = write_matrix(tmp_path / "pivot.json", M)
+    code, out, err = run(capsys, "dephase", arg)
+    assert code == 3
+    assert out == ""
+    assert "zero" in err
+    code, out, _ = run(capsys, "dephase", arg, "--tol", "1e-10")
+    assert code == 0
+    assert all(e == {"re": 1.0, "im": 0.0} for e in json.loads(out)["entries"][0])
+
+
 def test_real_count(capsys):
     code, out, _ = run(capsys, "real", "M1")
     assert code == 0
@@ -222,14 +236,6 @@ def test_scan_deterministic_bytes(capsys, tmp_path):
     assert a.read_bytes() == b.read_bytes()
 
 
-def test_scan_workers_deterministic(capsys, tmp_path):
-    a = tmp_path / "a.csv"
-    b = tmp_path / "b.csv"
-    run(capsys, "scan", "--grid", "3", "--out", str(a), "--workers", "1")
-    run(capsys, "scan", "--grid", "3", "--out", str(b), "--workers", "2")
-    assert a.read_bytes() == b.read_bytes()
-
-
 def test_scan_json_format(capsys, tmp_path):
     out_path = tmp_path / "scan.json"
     code, _, _ = run(capsys, "scan", "--grid", "2", "--out", str(out_path), "--format", "json")
@@ -243,6 +249,32 @@ def test_scan_json_format(capsys, tmp_path):
 def test_scan_unwritable_path(capsys, tmp_path):
     code, _, _ = run(capsys, "scan", "--grid", "2", "--out", str(tmp_path / "no" / "dir" / "x.csv"))
     assert code == 5
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["scan", "--grid", "x", "--out", "unused.csv"],
+        ["scan", "--grid", "2", "--out", "unused.csv", "--workers", "2"],
+        ["census"],
+        ["nosuchcommand"],
+    ],
+)
+def test_usage_error_is_invalid_parameters(capsys, monkeypatch, tmp_path, argv):
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "usage:" in captured.err
+
+
+def test_help_exits_zero(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["scan", "--help"])
+    assert exc.value.code == 0
+    assert "--grid" in capsys.readouterr().out
 
 
 def test_scan_rejects_tiny_grid(capsys, tmp_path):

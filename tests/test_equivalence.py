@@ -4,6 +4,7 @@ import pytest
 from chm import (
     DimensionMismatchError,
     EquivalenceWitness,
+    InvalidMatrixError,
     NotCHMError,
     SearchTimeoutError,
     Tolerance,
@@ -153,6 +154,12 @@ def test_count_real_entries(name, expected):
     # F6: entries exp(2*pi*i*j*k/6) are real iff j*k = 0 mod 3, which is
     # 20 of the 36 index pairs.
     assert count_real_entries(named(name).matrix) == expected
+
+
+@pytest.mark.parametrize("entries", [[[1, 2, 3]], [[np.nan, 1], [1, 1]]])
+def test_count_real_entries_validates_input(entries):
+    with pytest.raises(InvalidMatrixError):
+        count_real_entries(entries)
 
 
 def test_count_real_entries_invariant_under_signed_permutations():

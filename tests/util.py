@@ -1,8 +1,11 @@
 """Shared helpers for the test suite."""
 
+import itertools
+
 import numpy as np
 
-from chm import EquivalenceWitness, FamilyPoint
+from chm import DEFAULT_TOL, EquivalenceWitness, FamilyPoint, H2Structure, SubmatrixLoc
+from chm import is_sub_chm_2x2
 
 NATURAL_PAIRING = ((1, 2), (3, 4), (5, 6))
 
@@ -50,3 +53,63 @@ def identity_witness(d=6):
         row_phases=ones,
         col_phases=ones.copy(),
     )
+
+
+# --- scalar oracles for the table-based censuses ------------------------------
+
+PAIRS = list(itertools.combinations(range(6), 2))
+TRIPLES = list(itertools.combinations(range(6), 3))
+
+
+def _pairings(elems):
+    if not elems:
+        return [()]
+    first, rest = elems[0], elems[1:]
+    return [
+        ((first, partner),) + sub
+        for i, partner in enumerate(rest)
+        for sub in _pairings(rest[:i] + rest[i + 1 :])
+    ]
+
+
+PAIRINGS = _pairings((0, 1, 2, 3, 4, 5))
+
+
+def _block_ok(M, r1, r2, c1, c2, tol):
+    return is_sub_chm_2x2(M[r1, c1], M[r1, c2], M[r2, c1], M[r2, c2], tol).ok
+
+
+def brute_force_census_2x2(M, tol=DEFAULT_TOL):
+    """2x2 sub-CHM locations from one scalar predicate call per submatrix."""
+    return [
+        SubmatrixLoc(rows=(r1 + 1, r2 + 1), cols=(c1 + 1, c2 + 1))
+        for r1, r2 in PAIRS
+        for c1, c2 in PAIRS
+        if _block_ok(M, r1, r2, c1, c2, tol)
+    ]
+
+
+def brute_force_h2(M, tol=DEFAULT_TOL):
+    """First row/column pairing whose nine blocks all pass the scalar predicate."""
+    for rp in PAIRINGS:
+        for cp in PAIRINGS:
+            if all(_block_ok(M, r1, r2, c1, c2, tol) for r1, r2 in rp for c1, c2 in cp):
+                return H2Structure(
+                    row_pairing=tuple((a + 1, b + 1) for a, b in rp),
+                    col_pairing=tuple((a + 1, b + 1) for a, b in cp),
+                )
+    return None
+
+
+def looped_census_3x3(M, tol=DEFAULT_TOL):
+    """3x3 sub-CHM locations from one Gram product per submatrix."""
+    found = []
+    for rows in TRIPLES:
+        for cols in TRIPLES:
+            S = M[np.ix_(rows, cols)]
+            G = S @ S.conj().T
+            if max(abs(G[0, 1]), abs(G[0, 2]), abs(G[1, 2])) <= 3 * tol.eps:
+                found.append(
+                    SubmatrixLoc(rows=tuple(r + 1 for r in rows), cols=tuple(c + 1 for c in cols))
+                )
+    return found
