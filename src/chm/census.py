@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import DEFAULT_TOL, CheckResult, Tolerance, as_matrix, is_chm
+from .core import DEFAULT_TOL, CheckResult, Tolerance, _as_stack, as_matrix, is_chm
 from .errors import (
     DimensionMismatchError,
     NotCHMError,
@@ -24,8 +24,8 @@ from .errors import (
 _PAIRS = list(itertools.combinations(range(6), 2))  # 15 index pairs
 _TRIPLES = list(itertools.combinations(range(6), 3))  # 20 index triples
 
-_R1 = np.array([p[0] for p in _PAIRS])
-_R2 = np.array([p[1] for p in _PAIRS])
+_P = np.array(_PAIRS)
+_R1, _R2 = _P.T
 _T = np.array(_TRIPLES)
 
 # 1-based index tuples, as reported in locations and pairings.
@@ -51,12 +51,8 @@ def _perfect_matchings(elems):
 _PAIRINGS = _perfect_matchings((0, 1, 2, 3, 4, 5))  # 15 pairings
 _PAIRINGS_1 = [tuple((i + 1, j + 1) for i, j in pairing) for pairing in _PAIRINGS]
 
-# Flat residual-table indices of the nine blocks of each of the 15 x 15
-# (row pairing, column pairing) combinations: row k = 15 * rp + cp.
+# Residual-table pair indices of the three pairs of each pairing.
 _PAIRING_PAIRS = np.array([[_PAIRS.index(pair) for pair in pairing] for pairing in _PAIRINGS])
-_H2_BLOCKS = (
-    _PAIRING_PAIRS[:, None, :, None] * len(_PAIRS) + _PAIRING_PAIRS[None, :, None, :]
-).reshape(len(_PAIRINGS) ** 2, 9)
 
 
 @dataclass(frozen=True)
@@ -133,23 +129,23 @@ def is_sub_chm_2x2(a, b, c, d, tol: Tolerance = DEFAULT_TOL) -> CheckResult:
 
 
 def _residual_table(M, tol: Tolerance) -> np.ndarray:
-    """Validated 15x15 table of the 2x2 residuals |ad + bc| of a 6x6 CHM.
+    """Validated (B, 15, 15) 2x2 residuals |ad + bc| of a (B, 6, 6) stack of CHMs.
 
-    Entry [p, q] belongs to row pair p and column pair q. Every 2x2 check
-    (census, block pairings, the forbidden-count rule) reads this table, so
-    the input is validated once: a 6x6 CHM, and the cross-check
-    |a conj(c) + b conj(d)| agrees within 10*eps on all 225 submatrices.
+    Entry [m, p, q] belongs to member m, row pair p and column pair q. Every
+    2x2 check reads these tables, so the stack is validated once: every member
+    is a 6x6 CHM, and |a conj(c) + b conj(d)| agrees within 10*eps on all 225
+    submatrices of every member. Single-matrix callers pass a stack of one.
     """
-    M = as_matrix(M)
-    if M.shape != (6, 6):
-        raise DimensionMismatchError(f"expected a 6x6 matrix, got {M.shape}")
-    check = is_chm(M, tol)
+    S = _as_stack(M)
+    if S.shape[-2:] != (6, 6):
+        raise DimensionMismatchError(f"expected a 6x6 matrix, got {S.shape[-2:]}")
+    check = is_chm(S, tol)
     if not check.ok:
         raise NotCHMError(f"expected a CHM (residual {check.residual:.3g})")
-    a = M[_R1[:, None], _R1[None, :]]
-    b = M[_R1[:, None], _R2[None, :]]
-    c = M[_R2[:, None], _R1[None, :]]
-    d = M[_R2[:, None], _R2[None, :]]
+    a = S[:, _R1[:, None], _R1[None, :]]
+    b = S[:, _R1[:, None], _R2[None, :]]
+    c = S[:, _R2[:, None], _R1[None, :]]
+    d = S[:, _R2[:, None], _R2[None, :]]
     residual = np.abs(a * d + b * c)
     alt = np.abs(a * np.conj(c) + b * np.conj(d))
     worst = float(np.abs(residual - alt).max())
@@ -160,7 +156,7 @@ def _residual_table(M, tol: Tolerance) -> np.ndarray:
 
 def census_2x2(M, tol: Tolerance = DEFAULT_TOL) -> CensusResult:
     """Count and locate the 2x2 sub-CHMs among the 225 submatrices of a 6x6 CHM."""
-    rows, cols = np.nonzero(_residual_table(M, tol) <= tol.eps)
+    rows, cols = np.nonzero(_residual_table(as_matrix(M), tol)[0] <= tol.eps)
     locations = tuple(
         SubmatrixLoc(rows=_PAIRS_1[p], cols=_PAIRS_1[q]) for p, q in zip(rows, cols)
     )
@@ -183,10 +179,17 @@ def find_3x3_sub_chms(M, tol: Tolerance = DEFAULT_TOL) -> list[SubmatrixLoc]:
     return [SubmatrixLoc(rows=_TRIPLES_1[r], cols=_TRIPLES_1[c]) for r, c in zip(rows, cols)]
 
 
+def _h2_hits(hit) -> np.ndarray:
+    # From a (B, 15, 15) stack of 2x2 sub-CHM flags (residual <= eps):
+    # [member, 15 * row pairing + column pairing] has all nine blocks hit.
+    rows_hit = hit[:, _PAIRING_PAIRS].all(axis=2)  # [member, row pairing, column pair]
+    return rows_hit[:, :, _PAIRING_PAIRS].all(axis=3).reshape(len(hit), -1)
+
+
 def _h2_from_table(table, eps: float):
     # First pairing combination, in (row pairing, column pairing) order,
-    # whose nine blocks are all hits in the residual table.
-    found = np.flatnonzero((table.ravel()[_H2_BLOCKS] <= eps).all(axis=1))
+    # whose nine blocks are all hits in a one-member residual table.
+    found = np.flatnonzero(_h2_hits(table <= eps)[0])
     if found.size == 0:
         return None
     rp, cp = divmod(int(found[0]), len(_PAIRINGS))
@@ -199,7 +202,7 @@ def h2_block_structure(M, tol: Tolerance = DEFAULT_TOL):
 
     Searches all 15 x 15 pairing combinations.
     """
-    return _h2_from_table(_residual_table(M, tol), tol.eps)
+    return _h2_from_table(_residual_table(as_matrix(M), tol), tol.eps)
 
 
 def forbidden_count_check(n: int) -> bool:

@@ -130,6 +130,7 @@ def _cmd_scan(args) -> int:
         tol=_tol(args),
         fmt=args.format,
     )
+    open(config.out_path, "wb").close()  # an unwritable path fails before the sweep
     records, summary = run_scan(config)
     write_records(records, summary, config)
     print(summary_line(summary))

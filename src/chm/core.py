@@ -43,13 +43,22 @@ class CheckResult:
 def as_matrix(entries) -> np.ndarray:
     """Coerce input to a square complex128 array with finite entries."""
     m = np.asarray(entries, dtype=np.complex128)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
+    if m.ndim != 2:
         raise NonSquareError(f"expected a square matrix, got shape {m.shape}")
-    if m.shape[0] == 0:
+    _as_stack(m)
+    return m
+
+
+def _as_stack(entries) -> np.ndarray:
+    # A validated (B, d, d) stack of matrices; one matrix is a stack of one.
+    m = np.asarray(entries, dtype=np.complex128)
+    if m.ndim not in (2, 3) or m.shape[-1] != m.shape[-2]:
+        raise NonSquareError(f"expected a square matrix, got shape {m.shape}")
+    if m.size == 0:
         raise InvalidMatrixError("matrix must be non-empty")
     if not np.isfinite(m).all():
         raise InvalidMatrixError("matrix entries must be finite")
-    return m
+    return m.reshape(-1, *m.shape[-2:])
 
 
 def is_unimodular(z, tol: Tolerance = DEFAULT_TOL) -> CheckResult:
@@ -62,18 +71,19 @@ def is_unimodular(z, tol: Tolerance = DEFAULT_TOL) -> CheckResult:
 
 
 def unimodularity_residual(M) -> float:
-    """Largest | |entry| - 1 | over the matrix."""
-    M = as_matrix(M)
-    return float(np.abs(np.abs(M) - 1.0).max())
+    """Largest | |entry| - 1 | over the matrix, or over every member of a stack."""
+    return float(np.abs(np.abs(_as_stack(M)) - 1.0).max())
+
+
+def _gram_residuals(stack: np.ndarray) -> np.ndarray:
+    # Per member of a validated stack: largest |(M M* - d I)_jk|.
+    d = stack.shape[-1]
+    return np.abs(stack @ stack.conj().transpose(0, 2, 1) - d * np.eye(d)).max(axis=(1, 2))
 
 
 def gram_residual(M) -> float:
-    """Largest deviation of M M* from d times the identity, entrywise."""
-    M = as_matrix(M)
-    d = M.shape[0]
-    G = M @ M.conj().T
-    G[np.diag_indices(d)] -= d
-    return float(np.abs(G).max())
+    """Largest deviation of M M* from d times the identity, entrywise (worst member of a stack)."""
+    return float(_gram_residuals(_as_stack(M)).max())
 
 
 def is_chm(M, tol: Tolerance = DEFAULT_TOL) -> CheckResult:
@@ -81,10 +91,11 @@ def is_chm(M, tol: Tolerance = DEFAULT_TOL) -> CheckResult:
 
     The Gram deviation is compared against eps*d (it sums d unimodular
     terms per entry), so the stored residual is max(entry residual,
-    gram residual / d), keeping ok <=> residual <= eps.
+    gram residual / d), keeping ok <=> residual <= eps. On a (B, d, d)
+    stack, ok means every member passes; the residual is the worst one's.
     """
-    M = as_matrix(M)
-    d = M.shape[0]
+    M = _as_stack(M)
+    d = M.shape[-1]
     residual = max(unimodularity_residual(M), gram_residual(M) / d)
     return CheckResult(residual <= tol.eps, residual)
 

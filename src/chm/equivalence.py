@@ -16,6 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .census import _P, _PAIRS_1, _T, _TRIPLES_1
 from .core import DEFAULT_TOL, Tolerance, as_matrix, is_chm
 from .errors import (
     ChmError,
@@ -122,27 +123,15 @@ def real_submatrices_3x2(M, tol: Tolerance = DEFAULT_TOL) -> list[RealSubmatrixR
     M = as_matrix(M)
     if M.shape != (6, 6):
         raise DimensionMismatchError(f"expected a 6x6 matrix, got {M.shape}")
-    eps = tol.eps
-    reports = []
-    for rows in itertools.combinations(range(6), 3):
-        for cols in itertools.combinations(range(6), 2):
-            S = M[np.ix_(rows, cols)]
-            if np.abs(S.imag).max() > eps:
-                continue
-            X = S.real
-            rank = 1
-            for a, b in itertools.combinations(range(3), 2):
-                if abs(X[a, 0] * X[b, 1] - X[a, 1] * X[b, 0]) > eps:
-                    rank = 2
-                    break
-            reports.append(
-                RealSubmatrixReport(
-                    rows=tuple(r + 1 for r in rows),
-                    cols=tuple(c + 1 for c in cols),
-                    rank=rank,
-                )
-            )
-    return reports
+    S = M[_T[:, None, :, None], _P[None, :, None, :]]  # [row triple, col pair, i, j]
+    real = (np.abs(S.imag) <= tol.eps).all(axis=(2, 3))
+    top, bottom = S.real[..., [0, 0, 1], :], S.real[..., [1, 2, 2], :]  # the three row pairs
+    minors = top[..., 0] * bottom[..., 1] - top[..., 1] * bottom[..., 0]
+    rank = 1 + (np.abs(minors) > tol.eps).any(axis=-1)
+    return [
+        RealSubmatrixReport(rows=_TRIPLES_1[r], cols=_PAIRS_1[c], rank=int(rank[r, c]))
+        for r, c in zip(*np.nonzero(real))
+    ]
 
 
 def _signature(M) -> tuple[np.ndarray, np.ndarray]:

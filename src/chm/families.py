@@ -120,6 +120,12 @@ def family_h(point: FamilyPoint) -> np.ndarray:
     return np.array(rows, dtype=np.complex128)
 
 
+def _family_stack(x1s, x2s) -> np.ndarray:
+    # (B, 6, 6) stack of family_h at the points (x1s[m], x2s[m]); FamilyPoint
+    # checks each point's domain.
+    return np.array([family_h(FamilyPoint(x1, x2)) for x1, x2 in zip(x1s, x2s)])
+
+
 def _m1() -> np.ndarray:
     i = 1j
     return as_matrix(

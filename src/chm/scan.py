@@ -2,9 +2,10 @@
 
 Each grid point records the 2x2 sub-CHM count, the Gram residual, whether
 a block pairing was found, and whether the count lands in the impossible
-range for block-reducible matrices. The count and both flags are read
-from one validated 2x2 residual table per point. Output is written in
-deterministic grid order.
+range for block-reducible matrices. Points are processed in fixed-size
+chunks: each chunk is one (B, 6, 6) stack of family matrices, validated
+once, with one 2x2 residual table per member from which the count and
+both flags are read. Output is written in deterministic grid order.
 """
 
 from __future__ import annotations
@@ -15,11 +16,15 @@ from pathlib import Path
 
 import numpy as np
 
-from .census import _h2_from_table, _residual_table, forbidden_count_check
-from .core import DEFAULT_TOL, Tolerance, gram_residual
-from .families import FamilyPoint, family_h
+from .census import _h2_hits, _residual_table, forbidden_count_check
+from .core import DEFAULT_TOL, Tolerance, _gram_residuals
+from .families import _family_stack
 
 CSV_HEADER = "x1,x2,N,gram_residual,h2_found,forbidden"
+
+# Grid points per stack: larger stacks spread numpy's per-call cost over
+# more points, but the kernel's temporaries and peak memory grow with them.
+_CHUNK = 32
 
 
 @dataclass(frozen=True)
@@ -61,26 +66,31 @@ def grid_values(grid_n: int) -> list[float]:
     return [-math.pi / 2 + k * math.pi / grid_n for k in range(1, grid_n + 1)]
 
 
+def _scan_stack(x1s, x2s, eps: float) -> list[CensusRecord]:
+    # Census records for the points (x1s[m], x2s[m]), from one stack.
+    stack = _family_stack(x1s, x2s)
+    hit = _residual_table(stack, Tolerance(eps)) <= eps
+    counts = np.count_nonzero(hit, axis=(1, 2)).tolist()
+    grams = _gram_residuals(stack).tolist()
+    h2 = _h2_hits(hit).any(axis=1).tolist()
+    return [
+        CensusRecord(x1, x2, n, gram, found, not forbidden_count_check(n))
+        for x1, x2, n, gram, found in zip(x1s, x2s, counts, grams, h2)
+    ]
+
+
 def scan_point(x1: float, x2: float, eps: float = DEFAULT_TOL.eps) -> CensusRecord:
     """Census record for one family point."""
-    tol = Tolerance(eps)
-    M = family_h(FamilyPoint(x1, x2))
-    table = _residual_table(M, tol)
-    n = int(np.count_nonzero(table <= eps))
-    return CensusRecord(
-        x1=x1,
-        x2=x2,
-        n=n,
-        gram_residual=gram_residual(M),
-        h2_found=_h2_from_table(table, eps) is not None,
-        forbidden=not forbidden_count_check(n),
-    )
+    return _scan_stack([x1], [x2], eps)[0]
 
 
 def run_scan(config: ScanConfig) -> tuple[list[CensusRecord], dict]:
     """All grid records in row-major (k1, k2) order, plus the summary."""
     xs = grid_values(config.grid_n)
-    records = [scan_point(x1, x2, config.tol.eps) for x1 in xs for x2 in xs]
+    points = [(x1, x2) for x1 in xs for x2 in xs]
+    records = []
+    for start in range(0, len(points), _CHUNK):
+        records += _scan_stack(*zip(*points[start : start + _CHUNK]), config.tol.eps)
     counts = [r.n for r in records]
     summary = {
         "points": len(records),

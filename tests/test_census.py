@@ -6,6 +6,7 @@ import pytest
 from chm import (
     CensusResult,
     H2Structure,
+    NonSquareError,
     NotCHMError,
     NotUnimodularError,
     SubmatrixLoc,
@@ -114,6 +115,13 @@ def test_census_invariant_under_witnesses():
 def test_census_requires_chm():
     with pytest.raises(NotCHMError):
         census_2x2(np.ones((6, 6)))
+
+
+@pytest.mark.parametrize("check", [census_2x2, h2_block_structure])
+def test_census_and_h2_reject_a_stack(check):
+    # Only the private residual-table kernel takes (B, 6, 6) stacks.
+    with pytest.raises(NonSquareError):
+        check(np.stack([named("F6").matrix, named("S6").matrix]))
 
 
 def test_census_result_validation():

@@ -4,6 +4,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import chm.cli
 from chm import EquivalenceWitness, apply_witness, json_dumps, matrix_to_obj, named
 from chm.cli import main
 
@@ -246,9 +247,25 @@ def test_scan_json_format(capsys, tmp_path):
     assert doc["summary"]["forbiddenCount"] == 0
 
 
-def test_scan_unwritable_path(capsys, tmp_path):
+def test_scan_unwritable_path(capsys, monkeypatch, tmp_path):
+    sweeps = []
+    monkeypatch.setattr(chm.cli, "run_scan", lambda config: sweeps.append(config))
     code, _, _ = run(capsys, "scan", "--grid", "2", "--out", str(tmp_path / "no" / "dir" / "x.csv"))
     assert code == 5
+    assert sweeps == []
+
+
+def test_scan_failing_sweep_leaves_empty_file(capsys, monkeypatch, tmp_path):
+    def failing(config):
+        raise ValueError("sweep failed")
+
+    out_path = tmp_path / "scan.csv"
+    out_path.write_text("stale\n", encoding="utf-8")
+    monkeypatch.setattr(chm.cli, "run_scan", failing)
+    code, out, err = run(capsys, "scan", "--grid", "2", "--out", str(out_path))
+    assert code == 3
+    assert out == "" and "sweep failed" in err
+    assert out_path.read_bytes() == b""
 
 
 @pytest.mark.parametrize(

@@ -106,6 +106,22 @@ def test_as_matrix_rejects_bad_shapes():
         as_matrix([1.0, 2.0])
     with pytest.raises(InvalidMatrixError):
         as_matrix([[np.nan, 1], [1, 1]])
+    with pytest.raises(NonSquareError):
+        as_matrix(np.ones((2, 6, 6)))
+
+
+def test_is_chm_on_a_stack_reports_the_worst_member():
+    stack = np.array([named(name).matrix for name in ("M1", "F6", "D0")])
+    assert is_chm(stack).ok
+    stack[1, 2, 3] *= 1 + 1e-6
+    check = is_chm(stack)
+    assert not check.ok
+    assert check.residual == max(is_chm(M).residual for M in stack)
+    stack[2, 0, 0] = np.nan
+    with pytest.raises(InvalidMatrixError):
+        is_chm(stack)
+    with pytest.raises(NonSquareError):
+        is_chm(np.ones((2, 6, 5)))
 
 
 def test_matrix_json_round_trip():

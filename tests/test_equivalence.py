@@ -19,8 +19,16 @@ from chm import (
     is_chm,
     named,
     real_submatrices_3x2,
+    registry_names,
 )
-from util import identity_witness, random_unimodular, random_witness, rng
+from util import (
+    identity_witness,
+    looped_real_3x2,
+    random_point,
+    random_unimodular,
+    random_witness,
+    rng,
+)
 
 
 def test_dephase_fixes_d0():
@@ -194,3 +202,16 @@ def test_real_submatrices_ranks_as_minors():
     for r in reports:
         expect = 2 if (4 in r.rows and 1 in r.cols) else 1
         assert r.rank == expect
+
+
+def test_real_submatrices_match_looped_oracle():
+    # Registry, 200 seeded family points, a signed witness image of each
+    # (signs keep real entries real), and the all-ones matrix.
+    gen = rng(67)
+    base = [named(name).matrix for name in registry_names()]
+    base += [family_h(random_point(gen)) for _ in range(200)]
+    inputs = base + [apply_witness(M, random_witness(gen, signs_only=True)) for M in base]
+    inputs.append(np.ones((6, 6)))
+    found = [real_submatrices_3x2(M) for M in inputs]
+    assert found == [looped_real_3x2(M) for M in inputs]
+    assert {r.rank for reports in found for r in reports} == {1, 2}

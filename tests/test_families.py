@@ -21,6 +21,8 @@ from chm import (
     registry_entries,
     registry_names,
 )
+from chm.families import _family_stack
+from chm.scan import grid_values
 from util import NATURAL_PAIRING, random_point, rng
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
@@ -99,6 +101,15 @@ def test_family_corner_extension_is_chm():
     structure = h2_block_structure(M)
     assert structure.row_pairing == NATURAL_PAIRING
     assert census_2x2(M).count == 75
+
+
+def test_family_stack_stacks_family_h_exactly():
+    points = [(x1, x2) for x1 in grid_values(16) for x2 in grid_values(16)]
+    points += [(math.pi / 2, math.pi / 2), (1.0, 0.5)]
+    stack = _family_stack(*zip(*points))
+    assert stack.shape == (len(points), 6, 6) and stack.dtype == np.complex128
+    for (x1, x2), M in zip(points, stack):
+        assert (M == family_h(FamilyPoint(x1, x2))).all()
 
 
 def test_family_reducible_at_random_points():

@@ -1,23 +1,39 @@
+import math
+
+import numpy as np
+import pytest
+
 import chm
 from chm import (
     CensusRecord,
+    DomainError,
     FamilyPoint,
+    NotCHMError,
     ScanConfig,
     family_h,
     forbidden_count_check,
     gram_residual,
     grid_values,
+    named,
     run_scan,
     scan_point,
 )
+from chm.census import _residual_table
+from chm.core import DEFAULT_TOL
+from chm.families import _family_stack
+from chm.scan import _CHUNK
 from util import brute_force_census_2x2, brute_force_h2
 
 
-def test_run_scan_matches_scalar_oracles():
-    records, summary = run_scan(ScanConfig(grid_n=8, out_path="unused"))
+# Grid 8 fills whole chunks; grid 10 spans several and ends in a partial one.
+@pytest.mark.parametrize("grid_n", [8, 10])
+def test_run_scan_matches_scalar_oracles(grid_n):
+    if grid_n == 10:
+        assert grid_n**2 % _CHUNK != 0 and grid_n**2 > 2 * _CHUNK
+    records, summary = run_scan(ScanConfig(grid_n=grid_n, out_path="unused"))
     expected = []
-    for x1 in grid_values(8):
-        for x2 in grid_values(8):
+    for x1 in grid_values(grid_n):
+        for x2 in grid_values(grid_n):
             M = family_h(FamilyPoint(x1, x2))
             n = len(brute_force_census_2x2(M))
             expected.append(
@@ -31,7 +47,8 @@ def test_run_scan_matches_scalar_oracles():
                 )
             )
     assert records == expected
-    assert summary["points"] == 64
+    assert records == [scan_point(r.x1, r.x2) for r in records]
+    assert summary["points"] == grid_n**2
 
 
 def test_scan_point_checks_chm_once(monkeypatch):
@@ -47,3 +64,18 @@ def test_scan_point_checks_chm_once(monkeypatch):
             monkeypatch.setattr(module, "is_chm", counting)
     scan_point(1.0, 0.5)
     assert len(calls) == 1
+
+
+def test_residual_table_rejects_a_stack_with_one_non_chm_member():
+    stack = np.array([named("M1").matrix, named("S6").matrix, named("F6").matrix])
+    assert _residual_table(stack, DEFAULT_TOL).shape == (3, 15, 15)
+    stack[2, 4, 4] = -stack[2, 4, 4]
+    with pytest.raises(NotCHMError):
+        _residual_table(stack, DEFAULT_TOL)
+
+
+def test_family_stack_rejects_one_point_out_of_domain():
+    x1s = [0.1 * k for k in range(-5, 6)]
+    _family_stack(x1s, x1s)
+    with pytest.raises(DomainError, match="x2="):
+        _family_stack(x1s, x1s[:-1] + [-math.pi / 2])

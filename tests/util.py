@@ -4,8 +4,8 @@ import itertools
 
 import numpy as np
 
-from chm import DEFAULT_TOL, EquivalenceWitness, FamilyPoint, H2Structure, SubmatrixLoc
-from chm import is_sub_chm_2x2
+from chm import DEFAULT_TOL, EquivalenceWitness, FamilyPoint, H2Structure
+from chm import RealSubmatrixReport, SubmatrixLoc, is_sub_chm_2x2
 
 NATURAL_PAIRING = ((1, 2), (3, 4), (5, 6))
 
@@ -113,3 +113,26 @@ def looped_census_3x3(M, tol=DEFAULT_TOL):
                     SubmatrixLoc(rows=tuple(r + 1 for r in rows), cols=tuple(c + 1 for c in cols))
                 )
     return found
+
+
+def looped_real_3x2(M, tol=DEFAULT_TOL):
+    """Real 3x2 submatrices and their rank, one submatrix and minor at a time."""
+    reports = []
+    for rows in TRIPLES:
+        for cols in PAIRS:
+            S = M[np.ix_(rows, cols)]
+            if np.abs(S.imag).max() > tol.eps:
+                continue
+            X = S.real
+            rank = 1
+            for a, b in itertools.combinations(range(3), 2):
+                if abs(X[a, 0] * X[b, 1] - X[a, 1] * X[b, 0]) > tol.eps:
+                    rank = 2
+                    break
+            reports.append(
+                RealSubmatrixReport(
+                    rows=tuple(r + 1 for r in rows), cols=tuple(c + 1 for c in cols), rank=rank
+                )
+            )
+    return reports
+
