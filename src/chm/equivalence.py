@@ -26,8 +26,10 @@ from .errors import (
     ZeroPivotError,
 )
 
-# Signature granularity for the permutation prefilter. Collisions fall
-# through to the exact entrywise comparison, so this only trades speed.
+# Floor of the pivot screen's bound; the bound is max(_PREFILTER_ATOL, 2*eps).
+# A pivot whose witness passes the final eps check has dephased entries within
+# eps*(1 + O(eps)) of A's, and sorting is 1-Lipschitz, so the screen never
+# rejects a witness that check would accept.
 _PREFILTER_ATOL = 1e-7
 
 
@@ -134,49 +136,14 @@ def real_submatrices_3x2(M, tol: Tolerance = DEFAULT_TOL) -> list[RealSubmatrixR
     ]
 
 
-def _signature(M) -> tuple[np.ndarray, np.ndarray]:
-    # Sorted multisets of entry distances to 1 and to i. Together these pin
-    # down the multiset of entry phases, are invariant under row/column
-    # permutation of a dephased form, and (unlike raw angles) have no branch
-    # cut at phase +-pi, so fp jitter cannot flip a bucket.
-    flat = M.ravel()
-    return np.sort(np.abs(flat - 1.0)), np.sort(np.abs(flat - 1.0j))
-
-
-def _signatures_close(sig_a, sig_b) -> bool:
-    return np.allclose(sig_a[0], sig_b[0], rtol=0.0, atol=_PREFILTER_ATOL) and np.allclose(
-        sig_a[1], sig_b[1], rtol=0.0, atol=_PREFILTER_ATOL
-    )
-
-
-def _dephase_pivot(M, s: int, t: int) -> np.ndarray:
-    # Dephased form with row s / column t used as the ones row/column.
-    return M * (M[s, t] / (M[:, t][:, None] * M[s, :][None, :]))
-
-
-def _complete_columns(ok, t: int, d: int):
-    # Lexicographically smallest injective tau with tau[0]=t and
-    # ok[k, tau[k]] for all k. Columns of a Hadamard matrix are pairwise
-    # non-proportional, so candidates are almost always unique; the
-    # backtracking is just for safety.
-    used = [False] * d
-    used[t] = True
-    tau = [t]
-
-    def extend(k):
-        if k == d:
-            return True
-        for m in range(d):
-            if not used[m] and ok[k, m]:
-                used[m] = True
-                tau.append(m)
-                if extend(k + 1):
-                    return True
-                used[m] = False
-                tau.pop()
-        return False
-
-    return tuple(tau) if extend(1) else None
+def _signature(M) -> np.ndarray:
+    # Sorted multisets of entry distances to 1 and to i, shape (..., 2, d*d)
+    # for a (..., d, d) stack. Together these pin down the multiset of entry
+    # phases, are invariant under row/column permutation of a dephased form,
+    # and (unlike raw angles) have no branch cut at phase +-pi, so fp jitter
+    # cannot flip a bucket.
+    flat = M.reshape(*M.shape[:-2], 1, -1)
+    return np.sort(np.abs(flat - np.array([[1.0], [1.0j]])), axis=-1)
 
 
 def _build_witness(A, B, sigma, tau, eps) -> EquivalenceWitness:
@@ -208,8 +175,10 @@ def are_equivalent(A, B, tol: Tolerance = DEFAULT_TOL, timeout: float | None = N
 
     The search enumerates row permutations sigma of B in lexicographic
     order; for each, matching columns of the dephased forms are assigned
-    directly, so the full 6! x 6! candidate space is never materialized.
-    A per-pivot signature prefilter discards most pivot classes first.
+    directly, so the full d! x d! candidate space is never materialized.
+    A pivot-signature screen first discards most pivots (s, t) of B, one
+    pivot row s at a time; its bound, max(1e-7, 2*eps), never rejects a
+    witness that the final eps check accepts.
     Raises SearchTimeoutError if a time budget (seconds) is given and hit.
     """
     A = as_matrix(A)
@@ -220,27 +189,30 @@ def are_equivalent(A, B, tol: Tolerance = DEFAULT_TOL, timeout: float | None = N
         check = is_chm(M, tol)
         if not check.ok:
             raise NotCHMError(f"{label} is not a CHM (residual {check.residual:.3g})")
+    return _find_witness(A, B, tol, timeout)
+
+
+def _find_witness(A, B, tol: Tolerance, timeout: float | None = None):
+    # are_equivalent's search, for two CHMs of one shape validated at tol.
     d = A.shape[0]
     eps = tol.eps
+    atol = max(_PREFILTER_ATOL, 2 * eps)
 
     Ad = dephase(A, tol)
     sig_a = _signature(Ad)
-    allowed = {}
+    allowed = []
     for s in range(d):
-        ts = [
-            t
-            for t in range(d)
-            if _signatures_close(_signature(_dephase_pivot(B, s, t)), sig_a)
-        ]
-        if ts:
-            allowed[s] = ts
-    if not allowed:
+        # forms[t] is B dephased with row s and column t as its ones row/column.
+        forms = B * (B[s, :, None, None] / (B.T[:, :, None] * B[s, None, None, :]))
+        close = np.abs(_signature(forms) - sig_a).max(axis=(-2, -1)) <= atol
+        allowed.append(np.flatnonzero(close).tolist())
+    if not any(allowed):
         return None
 
     deadline = None if timeout is None else time.monotonic() + timeout
     total = math.factorial(d)
     for examined, sigma in enumerate(itertools.permutations(range(d))):
-        ts = allowed.get(sigma[0])
+        ts = allowed[sigma[0]]
         if not ts:
             continue
         if deadline is not None and time.monotonic() > deadline:
@@ -250,8 +222,8 @@ def are_equivalent(A, B, tol: Tolerance = DEFAULT_TOL, timeout: float | None = N
         for t in ts:
             # tau matches when E[:, tau[k]] == Ad[:, k] * E[:, t] entrywise.
             T = Ad * E[:, t][:, None]
-            diff = np.abs(E[:, None, :] - T[:, :, None]).max(axis=0)
-            tau = _complete_columns(diff <= eps, t, d)
-            if tau is not None:
-                return _build_witness(A, B, sigma, tau, eps)
+            ok = np.abs(E[:, None, :] - T[:, :, None]).max(axis=0) <= eps
+            # CHM columns lie sqrt(2d) apart and eps < 1e-3: the matches are unique and form tau.
+            if ok.any(axis=1).all():
+                return _build_witness(A, B, sigma, tuple(ok.argmax(axis=1).tolist()), eps)
     return None

@@ -15,7 +15,7 @@ import numpy as np
 
 from .census import _h2_from_table, _residual_table, find_3x3_sub_chms, forbidden_count_check
 from .core import DEFAULT_TOL, Tolerance, as_matrix
-from .equivalence import are_equivalent, count_real_entries
+from .equivalence import _find_witness, count_real_entries
 from .errors import DimensionMismatchError, InvalidMatrixError
 from .families import named
 
@@ -112,7 +112,8 @@ def exclusion_report(H, tol: Tolerance = DEFAULT_TOL) -> ExclusionReport:
     if locs:
         hits.append(RuleHit("R2", locs[0].to_obj()))
 
-    witness = are_equivalent(H, named("D0").matrix, tol)
+    # H is validated by its residual table, D0 by the registry at import.
+    witness = _find_witness(H, named("D0").matrix, tol)
     if witness is not None:
         hits.append(RuleHit("R3", witness.to_obj()))
 

@@ -117,6 +117,41 @@ def test_equiv_witness(capsys):
     assert err <= 1e-9
 
 
+_M1_D0_WITNESS = (
+    '{"rowPerm":[1,2,3,6,4,5],"colPerm":[1,2,3,6,4,5],'
+    '"rowPhases":[{"re":0.0,"im":1.0},{"re":1.0,"im":0.0},{"re":1.0,"im":0.0},'
+    '{"re":1.0,"im":0.0},{"re":1.0,"im":0.0},{"re":1.0,"im":0.0}],'
+    '"colPhases":[{"re":1.0,"im":0.0},{"re":0.0,"im":-1.0},{"re":0.0,"im":-1.0},'
+    '{"re":0.0,"im":-1.0},{"re":0.0,"im":-1.0},{"re":0.0,"im":-1.0}]}'
+)
+_D0_M1_WITNESS = (
+    '{"rowPerm":[1,2,3,5,6,4],"colPerm":[1,2,3,5,6,4],'
+    '"rowPhases":[{"re":0.0,"im":-1.0},{"re":1.0,"im":0.0},{"re":1.0,"im":0.0},'
+    '{"re":1.0,"im":0.0},{"re":1.0,"im":0.0},{"re":1.0,"im":0.0}],'
+    '"colPhases":[{"re":1.0,"im":-0.0},{"re":-0.0,"im":1.0},{"re":-0.0,"im":1.0},'
+    '{"re":-0.0,"im":1.0},{"re":-0.0,"im":1.0},{"re":-0.0,"im":1.0}]}'
+)
+
+
+@pytest.mark.parametrize(
+    "argv, expected",
+    [
+        (("equiv", "M1", "D0"), _M1_D0_WITNESS),
+        (("equiv", "D0", "M1"), _D0_M1_WITNESS),
+        (
+            ("exclusions", "M1"),
+            '{"rules":[{"id":"R1","evidence":{"count":30}},'
+            f'{{"id":"R3","evidence":{_M1_D0_WITNESS}}}]}}',
+        ),
+    ],
+)
+def test_witness_stdout_pinned(capsys, argv, expected):
+    # Every byte of stdout, down to the sign of each zero phase component.
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    assert out == json.dumps(json.loads(expected), indent=2) + "\n"
+
+
 def test_equiv_identity(capsys):
     code, out, _ = run(capsys, "equiv", "M1", "M1")
     assert code == 0

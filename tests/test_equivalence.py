@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from chm import (
+    DEFAULT_TOL,
     DimensionMismatchError,
     EquivalenceWitness,
     InvalidMatrixError,
@@ -22,6 +23,7 @@ from chm import (
     registry_names,
 )
 from util import (
+    brute_force_equivalence,
     identity_witness,
     looped_real_3x2,
     random_point,
@@ -152,6 +154,71 @@ def test_equivalence_requires_chms():
 def test_equivalence_timeout():
     with pytest.raises(SearchTimeoutError):
         are_equivalent(named("M1").matrix, named("D0").matrix, timeout=0.0)
+
+
+def _fourier(d):
+    j = np.arange(d)
+    return np.exp(2j * np.pi * np.outer(j, j) / d)
+
+
+def _noisy_d0(gen, eps):
+    # D0 with entrywise phase noise of at most 0.1*eps: still a CHM at eps.
+    return named("D0").matrix * np.exp(1j * gen.uniform(-0.1 * eps, 0.1 * eps, size=(6, 6)))
+
+
+def _oracle_cases():
+    gen = rng(71)
+    eps = DEFAULT_TOL.eps
+    names = registry_names()
+    cases = [
+        pytest.param(named(a).matrix, named(b).matrix, eps, id=f"{a}-{b}")
+        for a in names
+        for b in names
+    ]
+    for k in range(3):
+        M = family_h(random_point(gen))
+        image = apply_witness(M, random_witness(gen))
+        cases.append(pytest.param(image, M, eps, id=f"family{k}-image"))
+        cases.append(pytest.param(image, family_h(random_point(gen)), eps, id=f"family{k}-other"))
+    for name in ("M1", "S6"):
+        M = named(name).matrix
+        signed = apply_witness(M, random_witness(gen, signs_only=True))
+        cases.append(pytest.param(signed, M, eps, id=f"{name}-signed"))
+    for d in (2, 4):
+        F = _fourier(d)
+        cases.append(pytest.param(apply_witness(F, random_witness(gen, d=d)), F, eps, id=f"F{d}-image"))
+    for big in (1e-6, 1e-5, 1e-4):
+        B = apply_witness(named("D0").matrix, random_witness(gen))
+        cases.append(pytest.param(_noisy_d0(gen, big), B, big, id=f"noisy-D0-{big:g}"))
+    return cases
+
+
+@pytest.mark.parametrize("A, B, eps", _oracle_cases())
+def test_search_matches_unscreened_oracle(A, B, eps):
+    found = are_equivalent(A, B, Tolerance(eps))
+    expected = brute_force_equivalence(A, B, eps)
+    if expected is None:
+        assert found is None
+        return
+    assert found is not None
+    assert (found.row_perm, found.col_perm) == (expected.row_perm, expected.col_perm)
+    assert np.array_equal(found.row_phases, expected.row_phases)
+    assert np.array_equal(found.col_phases, expected.col_phases)
+
+
+def test_screen_bound_follows_tol():
+    # A fixed 1e-7 screen rejected every pivot here, though the final eps
+    # check accepts the witness.
+    gen = rng(73)
+    tol = Tolerance(1e-5)
+    D0 = named("D0").matrix
+    for _ in range(5):
+        A = _noisy_d0(gen, tol.eps)
+        B = apply_witness(D0, random_witness(gen))
+        assert is_chm(A, tol).ok
+        w = are_equivalent(A, B, tol)
+        assert w is not None
+        assert np.abs(apply_witness(B, w) - A).max() <= tol.eps
 
 
 @pytest.mark.parametrize(

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+import chm
 from chm import (
     DimensionMismatchError,
     EquivalenceWitness,
@@ -115,6 +116,22 @@ def test_exclusions_family_point_clean():
 def test_exclusions_d0_self_witness():
     report = exclusion_report(named("D0").matrix)
     assert [hit.rule_id for hit in report.rules_fired] == ["R3"]
+
+
+def test_exclusion_report_checks_chm_once(monkeypatch):
+    calls = []
+    real = chm.core.is_chm
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    for module in (chm, chm.core, chm.census, chm.scan, chm.mub, chm.equivalence):
+        if hasattr(module, "is_chm"):
+            monkeypatch.setattr(module, "is_chm", counting)
+    report = exclusion_report(named("M1").matrix)
+    assert "R3" in [hit.rule_id for hit in report.rules_fired]
+    assert len(calls) == 1
 
 
 def test_exclusions_require_chm():

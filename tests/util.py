@@ -4,8 +4,9 @@ import itertools
 
 import numpy as np
 
-from chm import DEFAULT_TOL, EquivalenceWitness, FamilyPoint, H2Structure
-from chm import RealSubmatrixReport, SubmatrixLoc, is_sub_chm_2x2
+from chm import DEFAULT_TOL, EquivalenceWitness, FamilyPoint, H2Structure, Tolerance
+from chm import RealSubmatrixReport, SubmatrixLoc, as_matrix, dephase, is_sub_chm_2x2
+from chm.equivalence import _build_witness
 
 NATURAL_PAIRING = ((1, 2), (3, 4), (5, 6))
 
@@ -136,3 +137,52 @@ def looped_real_3x2(M, tol=DEFAULT_TOL):
             )
     return reports
 
+
+
+# --- unscreened oracle for the equivalence search -----------------------------
+
+
+def _complete_columns(ok, t, d):
+    # Lexicographically smallest injective tau with tau[0]=t and
+    # ok[k, tau[k]] for all k, by backtracking.
+    used = [False] * d
+    used[t] = True
+    tau = [t]
+
+    def extend(k):
+        if k == d:
+            return True
+        for m in range(d):
+            if not used[m] and ok[k, m]:
+                used[m] = True
+                tau.append(m)
+                if extend(k + 1):
+                    return True
+                used[m] = False
+                tau.pop()
+        return False
+
+    return tuple(tau) if extend(1) else None
+
+
+def brute_force_equivalence(A, B, eps=DEFAULT_TOL.eps):
+    """Lexicographically smallest witness, trying every sigma and pivot column t.
+
+    No signature screen and a backtracking column completion; the phases
+    come from the library's _build_witness, so a found witness compares
+    bit for bit.
+    """
+    A = as_matrix(A)
+    B = as_matrix(B)
+    d = A.shape[0]
+    Ad = dephase(A, Tolerance(eps))
+    for sigma in itertools.permutations(range(d)):
+        R = B[sigma, :]
+        E = R / R[0, :]
+        for t in range(d):
+            T = Ad * E[:, t][:, None]
+            diff = np.abs(E[:, None, :] - T[:, :, None]).max(axis=0)
+            tau = _complete_columns(diff <= eps, t, d)
+            if tau is not None:
+                return _build_witness(A, B, sigma, tau, eps)
+    return None
