@@ -35,24 +35,13 @@ _TRIPLES_1 = [tuple(i + 1 for i in t) for t in _TRIPLES]
 FORBIDDEN_COUNTS = frozenset({10, 11, 12, 13, 14, 15, 16, 18})
 
 
-def _perfect_matchings(elems):
-    """All ways to split elems into unordered pairs, lexicographic order."""
-    if not elems:
-        return [()]
-    first, rest = elems[0], list(elems[1:])
-    out = []
-    for i, partner in enumerate(rest):
-        remaining = rest[:i] + rest[i + 1 :]
-        for sub in _perfect_matchings(remaining):
-            out.append(((first, partner),) + sub)
-    return out
-
-
-_PAIRINGS = _perfect_matchings((0, 1, 2, 3, 4, 5))  # 15 pairings
+# The 15 ways to split 0..5 into three pairs, in lexicographic order: as
+# residual-table pair indices, as pairs, and as 1-based pairs.
+_PAIRING_PAIRS = np.array(
+    [t for t in itertools.combinations(range(15), 3) if len(set(_P[list(t)].flat)) == 6]
+)
+_PAIRINGS = [tuple(_PAIRS[k] for k in t) for t in _PAIRING_PAIRS]
 _PAIRINGS_1 = [tuple((i + 1, j + 1) for i, j in pairing) for pairing in _PAIRINGS]
-
-# Residual-table pair indices of the three pairs of each pairing.
-_PAIRING_PAIRS = np.array([[_PAIRS.index(pair) for pair in pairing] for pairing in _PAIRINGS])
 
 
 @dataclass(frozen=True)

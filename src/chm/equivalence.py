@@ -179,8 +179,11 @@ def are_equivalent(A, B, tol: Tolerance = DEFAULT_TOL, timeout: float | None = N
     A pivot-signature screen first discards most pivots (s, t) of B, one
     pivot row s at a time; its bound, max(1e-7, 2*eps), never rejects a
     witness that the final eps check accepts.
-    Raises SearchTimeoutError if a time budget (seconds) is given and hit.
+    Raises SearchTimeoutError if a time budget (seconds) is given and hit;
+    the budget must be None, or finite and non-negative (else ValueError).
     """
+    if timeout is not None and not 0.0 <= timeout < math.inf:
+        raise ValueError(f"timeout must be finite and >= 0 seconds, got {timeout!r}")
     A = as_matrix(A)
     B = as_matrix(B)
     if A.shape != B.shape:

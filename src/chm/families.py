@@ -47,22 +47,26 @@ class RegistryEntry:
 def f_factor(x1: float, x2: float) -> complex:
     """Unimodular building block of the family, trigonometric form.
 
-    e^{i(x1+x2)/2} (cos((x1-x2)/2) - i sin((x1+x2)/2)) (1/2 + i sqrt(1/(1+sin x1 sin x2) - 1/4))
-
-    Singular where 1 + sin(x1) sin(x2) vanishes (opposite right-angle
-    arguments); raises DomainError there.
+    With w = cos((x1-x2)/2) - i sin((x1+x2)/2), so that |w|^2 = 1 + sin x1 sin x2,
+    e^{i(x1+x2)/2} w (1/2 + i sqrt(1/|w|^2 - 1/4))
+        = e^{i(x1+x2)/2} (w/|w|) (|w|/2 + i sqrt(1 - |w|^2/4)).
+    The right side is evaluated: it is unimodular by construction and does not
+    cancel as |w| -> 0. Singular where 1 + sin(x1) sin(x2) vanishes (opposite
+    right-angle arguments); raises DomainError there.
     """
-    den = 1.0 + math.sin(x1) * math.sin(x2)
-    if den <= 1e-12:
+    if 1.0 + math.sin(x1) * math.sin(x2) <= 1e-12:
         raise DomainError(f"1 + sin(x1) sin(x2) vanishes at ({x1!r}, {x2!r})")
-    rad = 1.0 / den - 0.25
-    if rad < -1e-12:
-        raise DomainError(f"negative radicand {rad!r} at ({x1!r}, {x2!r})")
-    root = math.sqrt(max(rad, 0.0))
-    first = cmath.exp(0.5j * (x1 + x2)) * complex(
-        math.cos(0.5 * (x1 - x2)), -math.sin(0.5 * (x1 + x2))
-    )
-    return first * complex(0.5, root)
+    return _f(x1, x2)
+
+
+def _f(a: float, b: float) -> complex:
+    # f_factor's right side, unguarded. In the family w nears 0 only for f2
+    # and f4 at the corner x1 = x2 = pi/2, where cos(pi/2) is 6.1e-17, not 0,
+    # in double precision: w/|w| stays defined and the value is ~ 3e-17 + 1j.
+    s = 0.5 * (a + b)
+    w = complex(math.cos(0.5 * (a - b)), -math.sin(s))
+    r = abs(w)
+    return cmath.exp(1j * s) * (w / r) * complex(0.5 * r, math.sqrt(1.0 - 0.25 * r * r))
 
 
 def f_factor_alt(x1: float, x2: float) -> complex:
@@ -83,18 +87,6 @@ def f_factor_alt(x1: float, x2: float) -> complex:
     return first * (0.5 + 1j * cmath.sqrt(rad))
 
 
-def _f_or_corner_limit(a: float, b: float) -> complex:
-    # Within the family the closed form degenerates (0 * inf) only when the
-    # sign-flipped arguments of f2/f4 land on sin(a) sin(b) = -1, i.e. at the
-    # admitted corner x1 = x2 = pi/2. Along the x1 = x2 diagonal the limit of
-    # the degenerate factors is i, and the limit matrix is still a CHM, so the
-    # corner is filled in by that value.
-    try:
-        return f_factor(a, b)
-    except DomainError:
-        return 1j
-
-
 def family_h(point: FamilyPoint) -> np.ndarray:
     """The 6x6 CHM of the two-parameter family at the given point.
 
@@ -104,10 +96,10 @@ def family_h(point: FamilyPoint) -> np.ndarray:
     x1, x2 = point.x1, point.x2
     z1 = cmath.exp(1j * x1)
     z2 = cmath.exp(1j * x2)
-    f1 = _f_or_corner_limit(x1, x2)
-    f2 = _f_or_corner_limit(x1, -x2)
-    f3 = _f_or_corner_limit(-x1, -x2)
-    f4 = _f_or_corner_limit(-x1, x2)
+    f1 = _f(x1, x2)
+    f2 = _f(x1, -x2)
+    f3 = _f(-x1, -x2)
+    f4 = _f(-x1, x2)
     f1c, f2c, f3c, f4c = (f.conjugate() for f in (f1, f2, f3, f4))
     rows = [
         [1, 1, 1, 1, 1, 1],

@@ -21,8 +21,10 @@ from chm import (
     named,
     registry_names,
 )
+from chm.census import _PAIRING_PAIRS, _PAIRINGS, _PAIRS
 from util import (
     NATURAL_PAIRING,
+    PAIRINGS,
     brute_force_census_2x2,
     brute_force_h2,
     looped_census_3x3,
@@ -221,6 +223,13 @@ def test_h2_matches_scalar_oracle(oracle_matrices):
 def test_3x3_census_matches_looped_oracle(oracle_matrices):
     for M in oracle_matrices:
         assert find_3x3_sub_chms(M) == looped_census_3x3(M)
+
+
+def test_pairings_match_recursive_oracle():
+    assert _PAIRINGS == PAIRINGS
+    assert [[_PAIRS[k] for k in row] for row in _PAIRING_PAIRS.tolist()] == [
+        list(pairing) for pairing in PAIRINGS
+    ]
 
 
 @pytest.mark.parametrize("n", range(26))

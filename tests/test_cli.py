@@ -50,6 +50,14 @@ def test_census_family(capsys):
     assert len(doc["locations"]) == 17
 
 
+def test_census_near_corner(capsys):
+    # offset 1e-8 from the corner x1 = x2 = pi/2, where some 2x2 residuals
+    # shrink with the offset: 19 of them fall within the default eps
+    code, out, _ = run(capsys, "census", "family:1.5707963167948966,1.5707963267948966")
+    assert code == 0
+    assert json.loads(out)["count"] == 19
+
+
 def test_census_s6_zero(capsys):
     code, out, _ = run(capsys, "census", "S6")
     assert code == 0
@@ -170,6 +178,14 @@ def test_equiv_timeout(capsys):
     code, _, err = run(capsys, "equiv", "M1", "D0", "--timeout", "0")
     assert code == 4
     assert "timed out" in err
+
+
+@pytest.mark.parametrize("timeout", ["nan", "inf", "-1"])
+def test_equiv_rejects_invalid_timeout(capsys, timeout):
+    code, out, err = run(capsys, "equiv", "M1", "D0", "--timeout", timeout)
+    assert code == 3
+    assert out == ""
+    assert "timeout" in err
 
 
 def test_mu_negative(capsys):

@@ -156,6 +156,12 @@ def test_equivalence_timeout():
         are_equivalent(named("M1").matrix, named("D0").matrix, timeout=0.0)
 
 
+@pytest.mark.parametrize("timeout", [float("nan"), float("inf"), -1.0])
+def test_equivalence_rejects_unbounded_or_negative_timeout(timeout):
+    with pytest.raises(ValueError, match="timeout"):
+        are_equivalent(named("M1").matrix, named("D0").matrix, timeout=timeout)
+
+
 def _fourier(d):
     j = np.arange(d)
     return np.exp(2j * np.pi * np.outer(j, j) / d)

@@ -14,6 +14,7 @@ from chm import (
     f_factor,
     f_factor_alt,
     family_h,
+    forbidden_count_check,
     gram_residual,
     h2_block_structure,
     is_chm,
@@ -94,13 +95,54 @@ def test_family_block_copy_symmetry():
 
 
 def test_family_corner_extension_is_chm():
-    # the closed form degenerates at x1 = x2 = pi/2; the constructor fills in
-    # the diagonal limit, which is still a CHM with the natural block pairing
+    # at x1 = x2 = pi/2, f2 and f4 come out of the same formula as everywhere
+    # else (~ 1j, their diagonal limit); no value is filled in, and the matrix
+    # is a CHM with the natural block pairing
     M = family_h(FamilyPoint(math.pi / 2, math.pi / 2))
     assert is_chm(M).ok
     structure = h2_block_structure(M)
     assert structure.row_pairing == NATURAL_PAIRING
     assert census_2x2(M).count == 75
+
+
+_HALF_PI = math.pi / 2
+# Approaches to the corner x1 = x2 = pi/2 at log-spaced offsets, plus points
+# in the domain's fp slack above pi/2.
+NEAR_CORNER = [
+    point
+    for delta in np.logspace(-15, -1, 57)
+    for point in (
+        (_HALF_PI - delta, _HALF_PI),
+        (_HALF_PI, _HALF_PI - delta),
+        (_HALF_PI - delta, _HALF_PI - delta),
+    )
+] + [
+    (_HALF_PI + 1e-12, _HALF_PI + 1e-12),
+    (_HALF_PI + 1e-12, _HALF_PI),
+    (_HALF_PI, _HALF_PI + 5e-13),
+    (_HALF_PI + 1e-12, _HALF_PI - 1e-6),
+]
+
+
+def test_family_is_chm_near_the_corner():
+    worst = max(is_chm(family_h(FamilyPoint(*p))).residual for p in NEAR_CORNER)
+    assert worst <= 1e-15
+
+
+def test_family_is_reducible_near_the_corner():
+    for p in NEAR_CORNER:
+        M = family_h(FamilyPoint(*p))
+        structure = h2_block_structure(M)
+        assert structure.row_pairing == NATURAL_PAIRING, p
+        assert structure.col_pairing == NATURAL_PAIRING, p
+        assert forbidden_count_check(census_2x2(M).count), p
+
+
+def test_family_h_and_f_factor_share_one_formula():
+    gen = rng(71)
+    for _ in range(200):
+        p = random_point(gen)
+        assert family_h(p)[2, 2] == -f_factor(p.x1, p.x2)
 
 
 def test_family_stack_stacks_family_h_exactly():

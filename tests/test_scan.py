@@ -21,7 +21,7 @@ from chm import (
 from chm.census import _residual_table
 from chm.core import DEFAULT_TOL
 from chm.families import _family_stack
-from chm.scan import _CHUNK
+from chm.scan import _CHUNK, _scan_stack
 from util import brute_force_census_2x2, brute_force_h2
 
 
@@ -49,6 +49,16 @@ def test_run_scan_matches_scalar_oracles(grid_n):
     assert records == expected
     assert records == [scan_point(r.x1, r.x2) for r in records]
     assert summary["points"] == grid_n**2
+
+
+@pytest.mark.parametrize("grid_n", [16384, 65536])
+def test_scan_stack_covers_the_grid_corner(grid_n):
+    # the last 4x4 grid points lie within 3*pi/grid_n of x1 = x2 = pi/2
+    corner = grid_values(grid_n)[-4:]
+    x1s, x2s = zip(*[(x1, x2) for x1 in corner for x2 in corner])
+    records = _scan_stack(x1s, x2s, DEFAULT_TOL.eps)
+    assert [(r.x1, r.x2) for r in records] == list(zip(x1s, x2s))
+    assert all(r.h2_found and not r.forbidden for r in records)
 
 
 def test_scan_point_checks_chm_once(monkeypatch):
