@@ -9,6 +9,7 @@ matrix or parameters, 4 search timeout, 5 I/O error.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -69,25 +70,30 @@ def _cmd_registry(args) -> int:
     return 0
 
 
-def _cmd_census(args) -> int:
-    result = census_2x2(_resolve_matrix(args.matrix), _tol(args))
-    _emit(result.to_obj())
-    return 0
+def _run(matrices, check, args) -> int:
+    # The path of every matrix command but equiv. The matrices resolve before
+    # the tolerance, so an unknown name exits 2 ahead of a bad --tol or CHM_TOL.
+    resolved = [_resolve_matrix(getattr(args, name)) for name in matrices]
+    obj, code = check(*resolved, _tol(args))
+    _emit(obj)
+    return code
 
 
-def _cmd_census3(args) -> int:
-    locs = find_3x3_sub_chms(_resolve_matrix(args.matrix), _tol(args))
-    _emit({"count": len(locs), "locations": [loc.to_obj() for loc in locs]})
-    return 0
+def _census3(M, tol):
+    locs = find_3x3_sub_chms(M, tol)
+    return {"count": len(locs), "locations": [loc.to_obj() for loc in locs]}, 0
 
 
-def _cmd_h2(args) -> int:
-    structure = h2_block_structure(_resolve_matrix(args.matrix), _tol(args))
+def _h2(M, tol):
+    structure = h2_block_structure(M, tol)
     if structure is None:
-        _emit({"found": False})
-        return EXIT_NEGATIVE
-    _emit({"found": True, **structure.to_obj()})
-    return 0
+        return {"found": False}, EXIT_NEGATIVE
+    return {"found": True, **structure.to_obj()}, 0
+
+
+def _mu(F, G, tol):
+    verdict = mu_pair(F, G, tol)
+    return verdict.to_obj(), 0 if verdict.ok else EXIT_NEGATIVE
 
 
 def _cmd_equiv(args) -> int:
@@ -101,26 +107,23 @@ def _cmd_equiv(args) -> int:
     return 0
 
 
-def _cmd_mu(args) -> int:
-    verdict = mu_pair(_resolve_matrix(args.f), _resolve_matrix(args.g), _tol(args))
-    _emit(verdict.to_obj())
-    return 0 if verdict.ok else EXIT_NEGATIVE
-
-
-def _cmd_exclusions(args) -> int:
-    report = exclusion_report(_resolve_matrix(args.matrix), _tol(args))
-    _emit(report.to_obj())
-    return 0
-
-
-def _cmd_dephase(args) -> int:
-    _emit(matrix_to_obj(dephase(_resolve_matrix(args.matrix), _tol(args))))
-    return 0
-
-
-def _cmd_real(args) -> int:
-    _emit({"count": count_real_entries(_resolve_matrix(args.matrix), _tol(args))})
-    return 0
+# (name, help, matrix arguments, check), in --help order. A check maps the
+# resolved matrices and the Tolerance to (stdout object, exit code); equiv
+# has its own handler (--timeout, a plain "inequivalent" line) instead.
+_MATRIX_COMMANDS = (
+    ("census", "count 2x2 sub-CHM submatrices", ("matrix",),
+     lambda M, tol: (census_2x2(M, tol).to_obj(), 0)),
+    ("census3", "locate 3x3 sub-CHM submatrices", ("matrix",), _census3),
+    ("h2", "find a 2x2 block pairing structure", ("matrix",), _h2),
+    ("equiv", "search for a complex-equivalence witness", ("a", "b"), None),
+    ("mu", "check mutual unbiasedness of two bases", ("f", "g"), _mu),
+    ("exclusions", "evaluate trio-exclusion rules", ("matrix",),
+     lambda M, tol: (exclusion_report(M, tol).to_obj(), 0)),
+    ("dephase", "print the dephased form", ("matrix",),
+     lambda M, tol: (matrix_to_obj(dephase(M, tol)), 0)),
+    ("real", "count real entries", ("matrix",),
+     lambda M, tol: ({"count": count_real_entries(M, tol)}, 0)),
+)
 
 
 def _cmd_scan(args) -> int:
@@ -168,48 +171,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("action", nargs="?", default="list", choices=["list"])
     p.set_defaults(func=_cmd_registry)
 
-    p = sub.add_parser("census", help="count 2x2 sub-CHM submatrices")
-    p.add_argument("matrix")
-    _add_tol(p)
-    p.set_defaults(func=_cmd_census)
+    for name, help_text, matrices, check in _MATRIX_COMMANDS:
+        p = sub.add_parser(name, help=help_text)
+        for arg in matrices:
+            p.add_argument(arg)
+        _add_tol(p)
+        p.set_defaults(func=functools.partial(_run, matrices, check))
 
-    p = sub.add_parser("census3", help="locate 3x3 sub-CHM submatrices")
-    p.add_argument("matrix")
-    _add_tol(p)
-    p.set_defaults(func=_cmd_census3)
-
-    p = sub.add_parser("h2", help="find a 2x2 block pairing structure")
-    p.add_argument("matrix")
-    _add_tol(p)
-    p.set_defaults(func=_cmd_h2)
-
-    p = sub.add_parser("equiv", help="search for a complex-equivalence witness")
-    p.add_argument("a")
-    p.add_argument("b")
-    _add_tol(p)
+    p = sub.choices["equiv"]
     p.add_argument("--timeout", type=float, default=120.0, help="search budget in seconds")
     p.set_defaults(func=_cmd_equiv)
-
-    p = sub.add_parser("mu", help="check mutual unbiasedness of two bases")
-    p.add_argument("f")
-    p.add_argument("g")
-    _add_tol(p)
-    p.set_defaults(func=_cmd_mu)
-
-    p = sub.add_parser("exclusions", help="evaluate trio-exclusion rules")
-    p.add_argument("matrix")
-    _add_tol(p)
-    p.set_defaults(func=_cmd_exclusions)
-
-    p = sub.add_parser("dephase", help="print the dephased form")
-    p.add_argument("matrix")
-    _add_tol(p)
-    p.set_defaults(func=_cmd_dephase)
-
-    p = sub.add_parser("real", help="count real entries")
-    p.add_argument("matrix")
-    _add_tol(p)
-    p.set_defaults(func=_cmd_real)
 
     p = sub.add_parser("scan", help="grid sweep of the family census")
     p.add_argument("--grid", type=int, required=True, help="points per axis (>= 2)")

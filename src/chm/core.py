@@ -70,9 +70,14 @@ def is_unimodular(z, tol: Tolerance = DEFAULT_TOL) -> CheckResult:
     return CheckResult(residual <= tol.eps, residual)
 
 
+def _unimodularity(stack: np.ndarray) -> float:
+    # Largest | |entry| - 1 | over a validated stack.
+    return float(np.abs(np.abs(stack) - 1.0).max())
+
+
 def unimodularity_residual(M) -> float:
     """Largest | |entry| - 1 | over the matrix, or over every member of a stack."""
-    return float(np.abs(np.abs(_as_stack(M)) - 1.0).max())
+    return _unimodularity(_as_stack(M))
 
 
 def _gram_residuals(stack: np.ndarray) -> np.ndarray:
@@ -96,7 +101,7 @@ def is_chm(M, tol: Tolerance = DEFAULT_TOL) -> CheckResult:
     """
     M = _as_stack(M)
     d = M.shape[-1]
-    residual = max(unimodularity_residual(M), gram_residual(M) / d)
+    residual = max(_unimodularity(M), float(_gram_residuals(M).max()) / d)
     return CheckResult(residual <= tol.eps, residual)
 
 

@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+import chm.core
 from chm import (
     InvalidMatrixError,
     NonSquareError,
@@ -122,6 +123,18 @@ def test_is_chm_on_a_stack_reports_the_worst_member():
         is_chm(stack)
     with pytest.raises(NonSquareError):
         is_chm(np.ones((2, 6, 5)))
+
+
+@pytest.mark.parametrize("shape", [(6, 6), (3, 6, 6)])
+def test_is_chm_validates_its_input_once(monkeypatch, shape):
+    M = family_h(FamilyPoint(1.0, 0.5)) * np.ones(shape)
+    expected = max(chm.core.unimodularity_residual(M), gram_residual(M) / 6)
+    calls = []
+    validate = chm.core._as_stack
+    monkeypatch.setattr(chm.core, "_as_stack", lambda m: calls.append(1) or validate(m))
+    check = is_chm(M)
+    assert len(calls) == 1
+    assert check.ok and check.residual == expected
 
 
 def test_matrix_json_round_trip():

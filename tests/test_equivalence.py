@@ -196,6 +196,9 @@ def _oracle_cases():
     for big in (1e-6, 1e-5, 1e-4):
         B = apply_witness(named("D0").matrix, random_witness(gen))
         cases.append(pytest.param(_noisy_d0(gen, big), B, big, id=f"noisy-D0-{big:g}"))
+    for d in (3, 5):  # drawn last, so the cases above keep their inputs
+        F = _fourier(d)
+        cases.append(pytest.param(apply_witness(F, random_witness(gen, d=d)), F, eps, id=f"F{d}-image"))
     return cases
 
 
@@ -210,6 +213,69 @@ def test_search_matches_unscreened_oracle(A, B, eps):
     assert (found.row_perm, found.col_perm) == (expected.row_perm, expected.col_perm)
     assert np.array_equal(found.row_phases, expected.row_phases)
     assert np.array_equal(found.col_phases, expected.col_phases)
+
+
+# (row_perm, col_perm, row_phases, col_phases) that the search returned for
+# a seeded witness image of F7 and F8 before any change to its sigma walk.
+# The unscreened oracle is too slow at these sizes, so these pins stand in.
+_FOURIER_PINS = {
+    7: (
+        (1, 2, 7, 5, 3, 6, 4),
+        (1, 6, 2, 4, 7, 3, 5),
+        [
+            (-0.20488214542540492-0.9787866501367308j),
+            (0.9527385182524643+0.30379156643675737j),
+            (0.9835444463737258-0.18066632781844363j),
+            (-0.8933662239383109-0.4493292667145149j),
+            (-0.6295479755052952+0.776961612010004j),
+            (-0.4181529854367254+0.908376618352957j),
+            (0.31771203357190003+0.9481872514032277j),
+        ],
+        [
+            (1-0j),
+            (-0.746882562441597-0.6649559669035794j),
+            (0.1592692339059506+0.9872351853185806j),
+            (0.2304497089130831+0.9730842366732056j),
+            (0.9965735252961458+0.08271159942119415j),
+            (0.5622416288631285+0.8269730048637235j),
+            (-0.591764485615463+0.8061109064913254j),
+        ],
+    ),
+    8: (
+        (1, 5, 2, 3, 4, 8, 7, 6),
+        (1, 2, 6, 3, 8, 7, 5, 4),
+        [
+            (-0.23200032579552549-0.972715708123792j),
+            (-0.850677379450788-0.5256881167486478j),
+            (-0.9218602374411082+0.3875225188618381j),
+            (0.13458299635801127-0.9909023246976967j),
+            (-0.3265538205023824-0.9451786086847808j),
+            (-0.22658040203631719-0.9739924647619512j),
+            (-0.9924822556356558+0.1223886115958533j),
+            (0.599990703813618-0.8000069720553936j),
+        ],
+        [
+            (1-0j),
+            (0.4148587448605972+0.909885828998721j),
+            (-0.2264693612855995+0.9740182895607723j),
+            (0.5495246460062089-0.835477506239247j),
+            (-0.8181635378321669+0.5749855870906261j),
+            (-0.8544002236862002-0.5196154903050629j),
+            (-0.9200578265604734+0.39178258739359206j),
+            (-0.501973780418407+0.8648828381766243j),
+        ],
+    ),
+}
+
+
+@pytest.mark.parametrize("d", sorted(_FOURIER_PINS))
+def test_search_pinned_beyond_the_oracle(d):
+    F = _fourier(d)
+    found = are_equivalent(apply_witness(F, random_witness(rng(80 + d), d=d)), F)
+    row_perm, col_perm, row_phases, col_phases = _FOURIER_PINS[d]
+    assert (found.row_perm, found.col_perm) == (row_perm, col_perm)
+    assert np.array_equal(found.row_phases, row_phases)
+    assert np.array_equal(found.col_phases, col_phases)
 
 
 def test_screen_bound_follows_tol():

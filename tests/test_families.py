@@ -1,4 +1,5 @@
 import math
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -6,6 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import chm
 from chm import (
     DomainError,
     FamilyPoint,
@@ -214,10 +216,13 @@ def test_registry_matrices_are_read_only():
 
 @pytest.mark.parametrize("name", ["M1", "M2_w1", "M2_w2", "D0"])
 def test_golden_json_byte_for_byte(name):
+    # The child runs the chm package this test imported, however it was found.
+    package_root = str(Path(chm.__file__).resolve().parent.parent)
     out = subprocess.run(
         [sys.executable, "-m", "chm.cli", "show", name],
         capture_output=True,
         text=True,
         check=True,
+        env={**os.environ, "PYTHONPATH": package_root},
     )
     assert out.stdout == (GOLDEN_DIR / f"{name}.json").read_text(encoding="utf-8")

@@ -138,6 +138,55 @@ def looped_real_3x2(M, tol=DEFAULT_TOL):
     return reports
 
 
+# --- exact cyclotomic oracle for 12th-root matrices ---------------------------
+#
+# Every registry entry is zeta^k with zeta = e^{i pi/6}. On that lattice the
+# 2x2, 3x3 and real-entry verdicts are decided in integers mod 12, with no
+# tolerance at all.
+
+ZETA = np.exp(1j * np.pi / 6)
+
+
+def zeta_exponents(M):
+    """Integer matrix K with M == zeta^K entrywise (to 1e-12); fails off the lattice."""
+    K = np.rint(np.angle(M) / (np.pi / 6)).astype(int) % 12
+    if np.abs(M - ZETA**K).max() > 1e-12:
+        raise ValueError("entries are not 12th roots of unity")
+    return K
+
+
+def exact_census_2x2(K):
+    """[a b; c d] is a 2x2 sub-CHM iff k_a + k_d - k_b - k_c == 6 (mod 12)."""
+    return [
+        SubmatrixLoc(rows=(r1 + 1, r2 + 1), cols=(c1 + 1, c2 + 1))
+        for r1, r2 in PAIRS
+        for c1, c2 in PAIRS
+        if (K[r1, c1] + K[r2, c2] - K[r1, c2] - K[r2, c1]) % 12 == 6
+    ]
+
+
+def _orthogonal_exactly(u, v):
+    # Three 12th roots sum to zero iff they are 120 degrees apart: {x, x+4, x+8}.
+    return sorted((u - v) % 12) in ([x, x + 4, x + 8] for x in range(4))
+
+
+def exact_census_3x3(K):
+    """3x3 sub-CHM locations: every row pair of the submatrix is exactly orthogonal."""
+    return [
+        SubmatrixLoc(rows=tuple(r + 1 for r in rows), cols=tuple(c + 1 for c in cols))
+        for rows in TRIPLES
+        for cols in TRIPLES
+        if all(
+            _orthogonal_exactly(K[a, list(cols)], K[b, list(cols)])
+            for a, b in itertools.combinations(rows, 2)
+        )
+    ]
+
+
+def exact_real_count(K):
+    """An entry zeta^k is real iff k is 0 or 6."""
+    return int(np.isin(K, (0, 6)).sum())
+
 
 # --- unscreened oracle for the equivalence search -----------------------------
 
