@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import DEFAULT_TOL, CheckResult, Tolerance, _as_stack, as_matrix, is_chm
+from .core import DEFAULT_TOL, CheckResult, Tolerance, _chm_check, as_matrix
 from .errors import (
     DimensionMismatchError,
     NotCHMError,
@@ -118,17 +118,18 @@ def is_sub_chm_2x2(a, b, c, d, tol: Tolerance = DEFAULT_TOL) -> CheckResult:
 
 
 def _residual_table(M, tol: Tolerance) -> np.ndarray:
-    """Validated (B, 15, 15) 2x2 residuals |ad + bc| of a (B, 6, 6) stack of CHMs.
+    """(B, 15, 15) 2x2 residuals |ad + bc| of a (B, 6, 6) stack of CHMs.
 
     Entry [m, p, q] belongs to member m, row pair p and column pair q. Every
-    2x2 check reads these tables, so the stack is validated once: every member
+    2x2 check reads these tables. The caller passes a finite complex stack
+    (one matrix is a stack of one); the table checks the rest: every member
     is a 6x6 CHM, and |a conj(c) + b conj(d)| agrees within 10*eps on all 225
-    submatrices of every member. Single-matrix callers pass a stack of one.
+    submatrices of every member.
     """
-    S = _as_stack(M)
+    S = M.reshape(-1, *M.shape[-2:])
     if S.shape[-2:] != (6, 6):
         raise DimensionMismatchError(f"expected a 6x6 matrix, got {S.shape[-2:]}")
-    check = is_chm(S, tol)
+    check = _chm_check(S, tol)
     if not check.ok:
         raise NotCHMError(f"expected a CHM (residual {check.residual:.3g})")
     a = S[:, _R1[:, None], _R1[None, :]]
@@ -161,6 +162,11 @@ def find_3x3_sub_chms(M, tol: Tolerance = DEFAULT_TOL) -> list[SubmatrixLoc]:
     M = as_matrix(M)
     if M.shape != (6, 6):
         raise DimensionMismatchError(f"expected a 6x6 matrix, got {M.shape}")
+    return _sub_chms_3x3(M, tol)
+
+
+def _sub_chms_3x3(M, tol: Tolerance) -> list[SubmatrixLoc]:
+    # find_3x3_sub_chms on a validated 6x6 matrix.
     S = M[_T[:, None, :, None], _T[None, :, None, :]]  # [row triple, col triple, i, j]
     G = np.einsum("rcij,rckj->rcik", S, S.conj())
     worst = np.abs(G[..., [0, 0, 1], [1, 2, 2]]).max(axis=-1)

@@ -99,7 +99,11 @@ def is_chm(M, tol: Tolerance = DEFAULT_TOL) -> CheckResult:
     gram residual / d), keeping ok <=> residual <= eps. On a (B, d, d)
     stack, ok means every member passes; the residual is the worst one's.
     """
-    M = _as_stack(M)
+    return _chm_check(_as_stack(M), tol)
+
+
+def _chm_check(M: np.ndarray, tol: Tolerance) -> CheckResult:
+    # is_chm on a validated (B, d, d) stack.
     d = M.shape[-1]
     residual = max(_unimodularity(M), float(_gram_residuals(M).max()) / d)
     return CheckResult(residual <= tol.eps, residual)

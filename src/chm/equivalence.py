@@ -3,13 +3,15 @@
 Two matrices A, B are complex equivalent when A = Pr Dr B Dc Pc for
 permutation matrices P and unimodular diagonal matrices D. Dephasing
 (normalizing the first row and column to ones) absorbs the diagonal
-factors, so the search only has to enumerate permutation pairs of B and
-compare dephased forms.
+factors, so the search only has to match dephased forms. It screens
+every pivot (row s, column t) of B by the sorted entries of B dephased
+there, pairs the rows of each surviving form with the rows of A's by
+their sorted entries, and walks only the row orders those pairs allow;
+the columns of each complete order are then matched directly.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 import time
 from dataclasses import dataclass
@@ -17,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .census import _P, _PAIRS_1, _T, _TRIPLES_1
-from .core import DEFAULT_TOL, Tolerance, as_matrix, is_chm
+from .core import DEFAULT_TOL, Tolerance, _chm_check, as_matrix
 from .errors import (
     ChmError,
     DimensionMismatchError,
@@ -26,10 +28,12 @@ from .errors import (
     ZeroPivotError,
 )
 
-# Floor of the pivot screen's bound; the bound is max(_PREFILTER_ATOL, 2*eps).
-# A pivot whose witness passes the final eps check has dephased entries within
-# eps*(1 + O(eps)) of A's, and sorting is 1-Lipschitz, so the screen never
-# rejects a witness that check would accept.
+# Floor of the bound, max(_PREFILTER_ATOL, 2*eps), of both screens: whole
+# dephased forms per pivot, and their rows per candidate row pairing. A pivot
+# whose witness passes the final eps check has dephased entries within
+# eps*(1 + O(eps)) of A's, and sorting is 1-Lipschitz, so neither screen
+# rejects a witness that check would accept: each row's sorted signature moves
+# by no more than the whole form's does.
 _PREFILTER_ATOL = 1e-7
 
 
@@ -87,7 +91,11 @@ def dephase(M, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
     Entry (j,k) becomes M_jk * M_11 / (M_j1 * M_1k). Requires every
     first-row and first-column entry to have modulus at least eps.
     """
-    M = as_matrix(M)
+    return _dephase(as_matrix(M), tol)
+
+
+def _dephase(M, tol: Tolerance) -> np.ndarray:
+    # dephase on a validated matrix.
     col0 = M[:, 0]
     row0 = M[0, :]
     if min(np.abs(col0).min(), np.abs(row0).min()) < tol.eps:
@@ -103,6 +111,11 @@ def apply_witness(M, witness: EquivalenceWitness) -> np.ndarray:
         raise DimensionMismatchError(
             f"witness is for dimension {len(witness.row_perm)}, matrix has {d}"
         )
+    return _apply(M, witness)
+
+
+def _apply(M, witness: EquivalenceWitness) -> np.ndarray:
+    # apply_witness on a validated matrix of the witness's dimension.
     rp = np.asarray(witness.row_perm) - 1
     cp = np.asarray(witness.col_perm) - 1
     phased = witness.row_phases[:, None] * M * witness.col_phases[None, :]
@@ -111,7 +124,11 @@ def apply_witness(M, witness: EquivalenceWitness) -> np.ndarray:
 
 def count_real_entries(M, tol: Tolerance = DEFAULT_TOL) -> int:
     """Number of entries whose imaginary part is within eps of zero."""
-    M = as_matrix(M)
+    return _count_real(as_matrix(M), tol)
+
+
+def _count_real(M, tol: Tolerance) -> int:
+    # count_real_entries on a validated matrix.
     return int((np.abs(M.imag) <= tol.eps).sum())
 
 
@@ -161,7 +178,7 @@ def _build_witness(A, B, sigma, tau, eps) -> EquivalenceWitness:
         row_phases=row_phases,
         col_phases=col_phases,
     )
-    err = float(np.abs(apply_witness(B, witness) - A).max())
+    err = float(np.abs(_apply(B, witness) - A).max())
     if err > eps:
         raise ChmError(f"internal error: witness fails verification (residual {err:.3g})")
     return witness
@@ -173,14 +190,17 @@ def are_equivalent(A, B, tol: Tolerance = DEFAULT_TOL, timeout: float | None = N
     Returns the witness with the lexicographically smallest
     (row_perm, col_perm) if the matrices are equivalent, else None.
 
-    The search enumerates row permutations sigma of B in lexicographic
-    order; for each, matching columns of the dephased forms are assigned
-    directly, so the full d! x d! candidate space is never materialized.
-    A pivot-signature screen first discards most pivots (s, t) of B, one
-    pivot row s at a time; its bound, max(1e-7, 2*eps), never rejects a
-    witness that the final eps check accepts.
-    Raises SearchTimeoutError if a time budget (seconds) is given and hit;
-    the budget must be None, or finite and non-negative (else ValueError).
+    A screen dephases B at every pivot (s, t), a block of pivot rows per
+    broadcast, and keeps the pivots whose sorted entries match A's dephased
+    form. Under a kept pivot, row j of B's form may become row k of A's only
+    if their sorted rows match too. Row permutations sigma with sigma[0] = s
+    are walked in lexicographic order through these candidates, and the
+    columns of each complete sigma are matched directly, so the d! x d!
+    candidate space is never materialized. Both screens use the bound
+    max(1e-7, 2*eps), which never rejects a witness the final eps check
+    accepts. Raises SearchTimeoutError if a time budget (seconds) is given
+    and hit; its `examined` is the lexicographic rank of the sigma reached.
+    The budget must be None, or finite and non-negative (else ValueError).
     """
     if timeout is not None and not 0.0 <= timeout < math.inf:
         raise ValueError(f"timeout must be finite and >= 0 seconds, got {timeout!r}")
@@ -189,42 +209,67 @@ def are_equivalent(A, B, tol: Tolerance = DEFAULT_TOL, timeout: float | None = N
     if A.shape != B.shape:
         raise DimensionMismatchError(f"shapes differ: {A.shape} vs {B.shape}")
     for label, M in (("A", A), ("B", B)):
-        check = is_chm(M, tol)
+        check = _chm_check(M[None], tol)
         if not check.ok:
             raise NotCHMError(f"{label} is not a CHM (residual {check.residual:.3g})")
     return _find_witness(A, B, tol, timeout)
 
 
 def _find_witness(A, B, tol: Tolerance, timeout: float | None = None):
-    # are_equivalent's search, for two CHMs of one shape validated at tol.
+    # are_equivalent's search, for two validated CHMs of one shape.
     d = A.shape[0]
     eps = tol.eps
     atol = max(_PREFILTER_ATOL, 2 * eps)
-
-    Ad = dephase(A, tol)
-    sig_a = _signature(Ad)
-    allowed = []
-    for s in range(d):
-        # forms[t] is B dephased with row s and column t as its ones row/column.
-        forms = B * (B[s, :, None, None] / (B.T[:, :, None] * B[s, None, None, :]))
-        close = np.abs(_signature(forms) - sig_a).max(axis=(-2, -1)) <= atol
-        allowed.append(np.flatnonzero(close).tolist())
-    if not any(allowed):
-        return None
-
     deadline = None if timeout is None else time.monotonic() + timeout
-    total = math.factorial(d)
-    for examined, sigma in enumerate(itertools.permutations(range(d))):
-        ts = allowed[sigma[0]]
-        if not ts:
-            continue
+
+    Ad = _dephase(A, tol)
+    sig_a, rows_a = _signature(Ad), _signature(Ad[:, None, :])
+    block = max(1, 1296 // d**3)  # pivot rows per screen; F holds <= max(1296, d**3) entries
+    for s0 in range(0, d, block):
+        S = slice(s0, s0 + block)
+        # F[i, t] is B dephased with row s0 + i and column t as its ones row/column.
+        F = B * (B[S, :, None, None] / (B.T[:, :, None] * B[S, None, None, :]))
+        close = np.abs(_signature(F) - sig_a).max(axis=(-2, -1)) <= atol
+        for i in np.flatnonzero(close.any(axis=1)).tolist():
+            ts = np.flatnonzero(close[i]).tolist()
+            # match[n, j, k]: under pivot (s0 + i, ts[n]), row j of the form may be
+            # row k of Ad. Built `block` pivots at a time to bound memory as F is.
+            rows = _signature(F[i, ts][..., None, :])
+            match = np.concatenate([
+                np.abs(rows[c : c + block, :, None] - rows_a).max(axis=(-2, -1)) <= atol
+                for c in range(0, len(ts), block)
+            ])
+            witness = _walk(A, B, Ad, s0 + i, ts, match, eps, deadline)
+            if witness is not None:
+                return witness
+    return None
+
+
+def _walk(A, B, Ad, s, ts, match, eps, deadline):
+    # The first (sigma, t) in lexicographic order with sigma[0] = s and t in ts
+    # whose columns match. Each node of the depth-first walk carries the
+    # indices n of the pivots (s, ts[n]) under which its rows all matched.
+    d = len(Ad)
+    cand = match.transpose(2, 1, 0).tolist()  # [k][j][n]
+    stack = [((s,), [n for n in range(len(ts)) if cand[0][s][n]])]
+    while stack:
+        sigma, live = stack.pop()
         if deadline is not None and time.monotonic() > deadline:
-            raise SearchTimeoutError(examined=examined, total=total)
+            # Lexicographic rank of sigma's smallest completion, from its Lehmer code.
+            rank = sum((j - sum(p < j for p in sigma[:k])) * math.factorial(d - 1 - k)
+                       for k, j in enumerate(sigma))
+            raise SearchTimeoutError(examined=rank, total=math.factorial(d))
+        k = len(sigma)
+        if k < d:  # children pushed largest row first, so the smallest is walked first
+            children = ((sigma + (j,), [n for n in live if cand[k][j][n]])
+                        for j in reversed(range(d)) if j not in sigma)
+            stack.extend(child for child in children if child[1])
+            continue
         R = B[sigma, :]
         E = R / R[0, :]
-        for t in ts:
+        for n in live:
             # tau matches when E[:, tau[k]] == Ad[:, k] * E[:, t] entrywise.
-            T = Ad * E[:, t][:, None]
+            T = Ad * E[:, ts[n]][:, None]
             ok = np.abs(E[:, None, :] - T[:, :, None]).max(axis=0) <= eps
             # CHM columns lie sqrt(2d) apart and eps < 1e-3: the matches are unique and form tau.
             if ok.any(axis=1).all():

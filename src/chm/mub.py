@@ -13,9 +13,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .census import _h2_from_table, _residual_table, find_3x3_sub_chms, forbidden_count_check
+from .census import _h2_from_table, _residual_table, _sub_chms_3x3, forbidden_count_check
 from .core import DEFAULT_TOL, Tolerance, as_matrix
-from .equivalence import _find_witness, count_real_entries
+from .equivalence import _count_real, _find_witness
 from .errors import DimensionMismatchError, InvalidMatrixError
 from .families import named
 
@@ -104,11 +104,11 @@ def exclusion_report(H, tol: Tolerance = DEFAULT_TOL) -> ExclusionReport:
 
     hits = []
 
-    n_real = count_real_entries(H, tol)
+    n_real = _count_real(H, tol)
     if n_real > 22:
         hits.append(RuleHit("R1", {"count": n_real}))
 
-    locs = find_3x3_sub_chms(H, tol)
+    locs = _sub_chms_3x3(H, tol)
     if locs:
         hits.append(RuleHit("R2", locs[0].to_obj()))
 

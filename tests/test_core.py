@@ -137,6 +137,30 @@ def test_is_chm_validates_its_input_once(monkeypatch, shape):
     assert check.ok and check.residual == expected
 
 
+@pytest.mark.parametrize(
+    "check, names",
+    [
+        (chm.exclusion_report, ("M1",)),  # fires R1 and R3, so builds a witness
+        (chm.are_equivalent, ("M1", "D0")),
+        (chm.census_2x2, ("F6",)),
+        (chm.h2_block_structure, ("F6",)),
+        (chm.find_3x3_sub_chms, ("F6",)),
+        (chm.count_real_entries, ("M1",)),
+        (chm.dephase, ("M1",)),
+        (chm.is_chm, ("M1",)),
+    ],
+    ids=lambda v: getattr(v, "__name__", None) or "-".join(v),
+)
+def test_public_checks_validate_each_input_once(monkeypatch, check, names):
+    calls = []
+    validate = chm.core._as_stack
+    for module in (chm, chm.core, chm.census, chm.equivalence, chm.mub, chm.scan):
+        if hasattr(module, "_as_stack"):
+            monkeypatch.setattr(module, "_as_stack", lambda m: calls.append(1) or validate(m))
+    assert check(*(named(name).matrix for name in names)) is not None
+    assert len(calls) == len(names)
+
+
 def test_matrix_json_round_trip():
     M = named("M2_w1").matrix
     again = matrix_from_obj(matrix_to_obj(M))

@@ -1,6 +1,10 @@
+import itertools
+import types
+
 import numpy as np
 import pytest
 
+import chm.equivalence
 from chm import (
     DEFAULT_TOL,
     DimensionMismatchError,
@@ -152,8 +156,35 @@ def test_equivalence_requires_chms():
 
 
 def test_equivalence_timeout():
-    with pytest.raises(SearchTimeoutError):
+    with pytest.raises(SearchTimeoutError) as info:
         are_equivalent(named("M1").matrix, named("D0").matrix, timeout=0.0)
+    assert 0 <= info.value.examined < info.value.total == 720
+
+
+def _lex_rank(perm):
+    return sorted(itertools.permutations(sorted(perm))).index(tuple(perm))
+
+
+def test_timeout_examined_is_the_rank_of_the_sigma_reached(monkeypatch):
+    # A clock that advances one second per reading: a budget of n seconds
+    # stops the walk at its n-th node, so growing budgets replay the walk.
+    A, B = _late_image(named("D0").matrix, rng(74))
+    final = _lex_rank(are_equivalent(A, B).row_perm)
+    examined = []
+    for budget in itertools.count(1):
+        clock = itertools.count()
+        monkeypatch.setattr(chm.equivalence, "time", types.SimpleNamespace(monotonic=lambda: next(clock)))
+        try:
+            witness = are_equivalent(A, B, timeout=budget)
+        except SearchTimeoutError as exc:
+            assert exc.total == 720
+            examined.append(exc.examined)
+            continue
+        assert _lex_rank(witness.row_perm) == final
+        break
+    assert len(examined) > 6  # the walk branched
+    assert examined == sorted(examined)  # lexicographic order
+    assert examined[-1] == final  # the last node before the witness is its own sigma
 
 
 @pytest.mark.parametrize("timeout", [float("nan"), float("inf"), -1.0])
@@ -165,6 +196,14 @@ def test_equivalence_rejects_unbounded_or_negative_timeout(timeout):
 def _fourier(d):
     j = np.arange(d)
     return np.exp(2j * np.pi * np.outer(j, j) / d)
+
+
+def _late_image(M, gen):
+    # A random witness image of M whose first row is M's last row (phased):
+    # its sigma comes late, unless a symmetry of M gives an earlier one.
+    w = random_witness(gen)
+    late = (6,) + tuple(int(i) + 1 for i in gen.permutation(5))
+    return apply_witness(M, EquivalenceWitness(late, w.col_perm, w.row_phases, w.col_phases)), M
 
 
 def _noisy_d0(gen, eps):
@@ -199,6 +238,15 @@ def _oracle_cases():
     for d in (3, 5):  # drawn last, so the cases above keep their inputs
         F = _fourier(d)
         cases.append(pytest.param(apply_witness(F, random_witness(gen, d=d)), F, eps, id=f"F{d}-image"))
+    # Late-sigma hits: one per registry class ({M1, D0}, {M2_w1, M2_w2, F6},
+    # {S6}) and one family point. F6 and S6 have rows with equal sorted
+    # signatures, so some row-candidate sets there hold two or more rows.
+    late = rng(72)
+    for name in ("D0", "F6", "S6"):
+        cases.append(pytest.param(*_late_image(named(name).matrix, late), eps, id=f"{name}-late"))
+    cases.append(pytest.param(*_late_image(family_h(random_point(late)), late), eps, id="family-late"))
+    F1 = _fourier(1)  # the smallest d; F2 to F5 images are above
+    cases.append(pytest.param(apply_witness(F1, random_witness(late, d=1)), F1, eps, id="F1-image"))
     return cases
 
 

@@ -120,15 +120,15 @@ def test_exclusions_d0_self_witness():
 
 def test_exclusion_report_checks_chm_once(monkeypatch):
     calls = []
-    real = chm.core.is_chm
+    real = chm.core._chm_check  # the CHM check behind is_chm and every internal caller
 
     def counting(*args, **kwargs):
         calls.append(args)
         return real(*args, **kwargs)
 
     for module in (chm, chm.core, chm.census, chm.scan, chm.mub, chm.equivalence):
-        if hasattr(module, "is_chm"):
-            monkeypatch.setattr(module, "is_chm", counting)
+        if hasattr(module, "_chm_check"):
+            monkeypatch.setattr(module, "_chm_check", counting)
     report = exclusion_report(named("M1").matrix)
     assert "R3" in [hit.rule_id for hit in report.rules_fired]
     assert len(calls) == 1

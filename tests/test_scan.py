@@ -63,15 +63,15 @@ def test_scan_stack_covers_the_grid_corner(grid_n):
 
 def test_scan_point_checks_chm_once(monkeypatch):
     calls = []
-    real = chm.core.is_chm
+    real = chm.core._chm_check  # the CHM check behind is_chm and every internal caller
 
     def counting(*args, **kwargs):
         calls.append(args)
         return real(*args, **kwargs)
 
     for module in (chm, chm.core, chm.census, chm.scan, chm.mub, chm.equivalence):
-        if hasattr(module, "is_chm"):
-            monkeypatch.setattr(module, "is_chm", counting)
+        if hasattr(module, "_chm_check"):
+            monkeypatch.setattr(module, "_chm_check", counting)
     scan_point(1.0, 0.5)
     assert len(calls) == 1
 
