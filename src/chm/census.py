@@ -4,6 +4,8 @@ A 2x2 submatrix [a b; c d] with unimodular entries is proportional to a
 Hadamard matrix exactly when a*d + b*c = 0. The 6x6 censuses enumerate
 all C(6,2)^2 = 225 and C(6,3)^2 = 400 submatrices in lexicographic order
 (row sets outer, column sets inner), which fixes the reported ordering.
+Locations are read from tables built once at import, in that order; the
+3x3 census sums the entrywise row-pair products over each column triple.
 """
 
 from __future__ import annotations
@@ -53,11 +55,18 @@ class SubmatrixLoc:
 
     def __post_init__(self):
         for idx in (self.rows, self.cols):
-            if list(idx) != sorted(set(idx)) or idx[0] < 1 or idx[-1] > 6:
-                raise ValueError(f"indices must be strictly increasing within 1..6: {idx}")
+            ints = bool(idx) and all(type(i) is int for i in idx)  # no bools, no floats
+            if not ints or list(idx) != sorted(set(idx)) or idx[0] < 1 or idx[-1] > 6:
+                raise ValueError(f"indices must be strictly increasing ints within 1..6: {idx}")
 
     def to_obj(self) -> dict:
         return {"rows": list(self.rows), "cols": list(self.cols)}
+
+
+# Every census location, row sets outer and column sets inner, so that flat
+# index 15 * p + q (2x2) or 20 * r + c (3x3) of a hit table names its location.
+_LOCS_2X2 = tuple(SubmatrixLoc(rows=r, cols=c) for r in _PAIRS_1 for c in _PAIRS_1)
+_LOCS_3X3 = tuple(SubmatrixLoc(rows=r, cols=c) for r in _TRIPLES_1 for c in _TRIPLES_1)
 
 
 @dataclass(frozen=True)
@@ -146,18 +155,16 @@ def _residual_table(M, tol: Tolerance) -> np.ndarray:
 
 def census_2x2(M, tol: Tolerance = DEFAULT_TOL) -> CensusResult:
     """Count and locate the 2x2 sub-CHMs among the 225 submatrices of a 6x6 CHM."""
-    rows, cols = np.nonzero(_residual_table(as_matrix(M), tol)[0] <= tol.eps)
-    locations = tuple(
-        SubmatrixLoc(rows=_PAIRS_1[p], cols=_PAIRS_1[q]) for p, q in zip(rows, cols)
-    )
-    return CensusResult(count=len(locations), locations=locations)
+    hits = np.flatnonzero(_residual_table(as_matrix(M), tol)[0] <= tol.eps)
+    return CensusResult(count=len(hits), locations=tuple(_LOCS_2X2[k] for k in hits))
 
 
 def find_3x3_sub_chms(M, tol: Tolerance = DEFAULT_TOL) -> list[SubmatrixLoc]:
     """Locate 3x3 submatrices with pairwise orthogonal rows among the 400 choices.
 
-    Each of the three row inner products must have modulus <= 3*eps (sums
-    of three unimodular terms). Such a submatrix is itself a 3x3 CHM.
+    Each of the three row inner products, a sum over the column triple of
+    the entrywise row-pair products x * conj(y), must have modulus <= 3*eps
+    (three unimodular terms). Such a submatrix is itself a 3x3 CHM.
     """
     M = as_matrix(M)
     if M.shape != (6, 6):
@@ -167,11 +174,10 @@ def find_3x3_sub_chms(M, tol: Tolerance = DEFAULT_TOL) -> list[SubmatrixLoc]:
 
 def _sub_chms_3x3(M, tol: Tolerance) -> list[SubmatrixLoc]:
     # find_3x3_sub_chms on a validated 6x6 matrix.
-    S = M[_T[:, None, :, None], _T[None, :, None, :]]  # [row triple, col triple, i, j]
-    G = np.einsum("rcij,rckj->rcik", S, S.conj())
-    worst = np.abs(G[..., [0, 0, 1], [1, 2, 2]]).max(axis=-1)
-    rows, cols = np.nonzero(worst <= 3 * tol.eps)
-    return [SubmatrixLoc(rows=_TRIPLES_1[r], cols=_TRIPLES_1[c]) for r, c in zip(rows, cols)]
+    X = M[_T]  # [row triple, row, column]
+    u = X[:, [0, 0, 1]] * X[:, [1, 2, 2]].conj()  # [row triple, row pair, column]
+    worst = np.abs(u[..., _T].sum(-1)).max(axis=1)  # [row triple, column triple]
+    return [_LOCS_3X3[k] for k in np.flatnonzero(worst <= 3 * tol.eps)]
 
 
 def _h2_hits(hit) -> np.ndarray:

@@ -66,8 +66,11 @@ def mu_pair(F, G, tol: Tolerance = DEFAULT_TOL) -> MuVerdict:
     convention (columns of norm sqrt(d)), where the target modulus is
     sqrt(d) and the pass bound is eps*sqrt(d).
     """
-    F = as_matrix(F)
-    G = as_matrix(G)
+    return _mu_pair(as_matrix(F), as_matrix(G), tol)
+
+
+def _mu_pair(F, G, tol: Tolerance) -> MuVerdict:
+    # mu_pair on two validated matrices.
     if F.shape != G.shape:
         raise DimensionMismatchError(f"shapes differ: {F.shape} vs {G.shape}")
     d = F.shape[0]
@@ -82,7 +85,7 @@ def mu_set(matrices, tol: Tolerance = DEFAULT_TOL) -> MuVerdict:
     ok = True
     worst = 0.0
     for F, G in itertools.combinations(mats, 2):
-        verdict = mu_pair(F, G, tol)
+        verdict = _mu_pair(F, G, tol)
         ok = ok and verdict.ok
         worst = max(worst, verdict.max_deviation)
     return MuVerdict(ok=ok, max_deviation=worst)

@@ -12,6 +12,7 @@ from chm import (
     SubmatrixLoc,
     apply_witness,
     census_2x2,
+    exclusion_report,
     family_h,
     FamilyPoint,
     find_3x3_sub_chms,
@@ -28,7 +29,9 @@ from util import (
     brute_force_census_2x2,
     brute_force_h2,
     looped_census_3x3,
+    random_phases,
     random_point,
+    random_unimodular,
     random_witness,
     rng,
 )
@@ -133,6 +136,11 @@ def test_census_result_validation():
         SubmatrixLoc(rows=(2, 1), cols=(1, 2))
     with pytest.raises(ValueError):
         SubmatrixLoc(rows=(1, 7), cols=(1, 2))
+    for bad in [(), (1.5, 2), (True, 2), (1, 2.0)]:
+        with pytest.raises(ValueError):
+            SubmatrixLoc(rows=bad, cols=(1, 2))
+        with pytest.raises(ValueError):
+            SubmatrixLoc(rows=(1, 2), cols=bad)
 
 
 @pytest.mark.parametrize("name", ["M2_w1", "M2_w2"])
@@ -221,8 +229,27 @@ def test_h2_matches_scalar_oracle(oracle_matrices):
 
 
 def test_3x3_census_matches_looped_oracle(oracle_matrices):
-    for M in oracle_matrices:
+    # find_3x3_sub_chms takes any 6x6 matrix, so seeded unimodular non-CHMs
+    # join in: one of them with a phased F3 planted on rows 1,3,5, cols 2,4,6.
+    gen = rng(59)
+    off_chm = [random_unimodular(gen) for _ in range(101)]
+    F3 = np.exp(2j * np.pi * np.outer(range(3), range(3)) / 3)
+    off_chm[-1][np.ix_([0, 2, 4], [1, 3, 5])] = F3 * random_phases(gen, 3)[:, None]
+    for M in oracle_matrices + off_chm:
         assert find_3x3_sub_chms(M) == looped_census_3x3(M)
+    assert SubmatrixLoc(rows=(1, 3, 5), cols=(2, 4, 6)) in find_3x3_sub_chms(off_chm[-1])
+
+
+@pytest.mark.parametrize("name", ["M2_w1", "S6"])
+def test_censuses_build_no_locations(monkeypatch, name):
+    # Census locations come from the tables built at import.
+    calls = []
+    validate = SubmatrixLoc.__post_init__
+    monkeypatch.setattr(SubmatrixLoc, "__post_init__", lambda loc: calls.append(1) or validate(loc))
+    M = named(name).matrix
+    assert find_3x3_sub_chms(M) and exclusion_report(M) is not None
+    census_2x2(M)
+    assert calls == []
 
 
 def test_pairings_match_recursive_oracle():

@@ -148,6 +148,7 @@ def test_is_chm_validates_its_input_once(monkeypatch, shape):
         (chm.count_real_entries, ("M1",)),
         (chm.dephase, ("M1",)),
         (chm.is_chm, ("M1",)),
+        (chm.mu_pair, ("F6", "D0")),
     ],
     ids=lambda v: getattr(v, "__name__", None) or "-".join(v),
 )

@@ -84,6 +84,14 @@ def test_mu_set():
     assert singleton.ok and singleton.max_deviation == 0.0
 
 
+def test_mu_set_validates_each_matrix_once(monkeypatch):
+    calls = []
+    validate = chm.core._as_stack
+    monkeypatch.setattr(chm.core, "_as_stack", lambda m: calls.append(1) or validate(m))
+    assert not mu_set([named(name).matrix for name in ("F6", "D0", "S6")]).ok
+    assert len(calls) == 3
+
+
 def test_exclusions_m1():
     report = exclusion_report(named("M1").matrix)
     fired = {hit.rule_id: hit.evidence for hit in report.rules_fired}
