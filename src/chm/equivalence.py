@@ -136,20 +136,24 @@ def real_submatrices_3x2(M, tol: Tolerance = DEFAULT_TOL) -> list[RealSubmatrixR
     """All fully real 3x2 submatrices of a 6x6 matrix, with their real rank.
 
     Enumerates the 300 row-triple/column-pair choices in lexicographic
-    order. Rank is decided by 2x2 minors: any minor with |value| > eps
+    order from one mask of real entries, and gathers only the real blocks.
+    Rank is decided by 2x2 minors: any minor with |value| > eps
     certifies rank two, otherwise the columns are proportional (rank one).
     """
     M = as_matrix(M)
     if M.shape != (6, 6):
         raise DimensionMismatchError(f"expected a 6x6 matrix, got {M.shape}")
-    S = M[_T[:, None, :, None], _P[None, :, None, :]]  # [row triple, col pair, i, j]
-    real = (np.abs(S.imag) <= tol.eps).all(axis=(2, 3))
-    top, bottom = S.real[..., [0, 0, 1], :], S.real[..., [1, 2, 2], :]  # the three row pairs
+    real = (np.abs(M.imag) <= tol.eps)[:, _P].all(axis=2)  # [row, col pair]
+    r, c = np.nonzero(real[_T].all(axis=1))  # [row triple, col pair] blocks
+    if r.size == 0:
+        return []
+    S = M.real[_T[r, :, None], _P[c, None, :]]  # [hit, i, j]
+    top, bottom = S[:, [0, 0, 1], :], S[:, [1, 2, 2], :]  # the three row pairs
     minors = top[..., 0] * bottom[..., 1] - top[..., 1] * bottom[..., 0]
     rank = 1 + (np.abs(minors) > tol.eps).any(axis=-1)
     return [
-        RealSubmatrixReport(rows=_TRIPLES_1[r], cols=_PAIRS_1[c], rank=int(rank[r, c]))
-        for r, c in zip(*np.nonzero(real))
+        RealSubmatrixReport(rows=_TRIPLES_1[i], cols=_PAIRS_1[j], rank=k)
+        for i, j, k in zip(r.tolist(), c.tolist(), rank.tolist())
     ]
 
 

@@ -15,9 +15,16 @@ import numpy as np
 
 from .census import _h2_from_table, _residual_table, _sub_chms_3x3, forbidden_count_check
 from .core import DEFAULT_TOL, Tolerance, as_matrix
-from .equivalence import _count_real, _find_witness
+from .equivalence import _PREFILTER_ATOL, _count_real, _find_witness
 from .errors import DimensionMismatchError, InvalidMatrixError
 from .families import named
+
+# R3 certificate: a witness W is accepted only if |apply_witness(D0, W) - H| <= eps,
+# so H (entries within eps of modulus 1) lies within 3*eps of an image U of D0 under
+# permutations and unimodular phases, whose 2x2 residuals |ad + bc| are D0's permuted.
+# Each residual of H is within 2*(2*3eps + (3eps)^2) < 13*eps (eps < 1e-3) of U's, and
+# sorting is 1-Lipschitz in the max norm: a larger sorted gap proves H inequivalent.
+_D0_SORTED = np.sort(_residual_table(named("D0").matrix, DEFAULT_TOL), axis=None)
 
 
 @dataclass(frozen=True)
@@ -96,9 +103,11 @@ def exclusion_report(H, tol: Tolerance = DEFAULT_TOL) -> ExclusionReport:
 
     R1: more than 22 real entries (evidence: the count).
     R2: contains a 3x3 sub-CHM (evidence: one location).
-    R3: complex equivalent to D0 (evidence: the witness).
+    R3: complex equivalent to D0 (evidence: the witness); searched only when
+        H's sorted 2x2 residuals lie within max(1e-7, 13*eps) of D0's.
     R4: diagnostic only -- H2-reducible with a 2x2 census count that the
         block structure rules out (10..16 or 18); flags data/numeric error.
+        Pairings are searched only for such a count.
 
     No trio search is attempted; only these conditions are applied.
     """
@@ -116,16 +125,14 @@ def exclusion_report(H, tol: Tolerance = DEFAULT_TOL) -> ExclusionReport:
         hits.append(RuleHit("R2", locs[0].to_obj()))
 
     # H is validated by its residual table, D0 by the registry at import.
-    witness = _find_witness(H, named("D0").matrix, tol)
-    if witness is not None:
-        hits.append(RuleHit("R3", witness.to_obj()))
+    if np.abs(np.sort(table, axis=None) - _D0_SORTED).max() <= max(_PREFILTER_ATOL, 13 * tol.eps):
+        witness = _find_witness(H, named("D0").matrix, tol)
+        if witness is not None:
+            hits.append(RuleHit("R3", witness.to_obj()))
 
-    structure = _h2_from_table(table, tol.eps)
+    count = int(np.count_nonzero(table <= tol.eps))
+    structure = None if forbidden_count_check(count) else _h2_from_table(table, tol.eps)
     if structure is not None:
-        count = int(np.count_nonzero(table <= tol.eps))
-        if not forbidden_count_check(count):
-            evidence = {"count": count}
-            evidence.update(structure.to_obj())
-            hits.append(RuleHit("R4", evidence))
+        hits.append(RuleHit("R4", {"count": count, **structure.to_obj()}))
 
     return ExclusionReport(rules_fired=tuple(hits))

@@ -35,8 +35,12 @@ class ScanConfig:
     fmt: str = "csv"
 
     def __post_init__(self):
+        if isinstance(self.grid_n, bool) or not isinstance(self.grid_n, (int, np.integer)):
+            raise ValueError(f"grid_n must be an integer, got {self.grid_n!r}")
         if self.grid_n < 2:
             raise ValueError("grid_n must be at least 2")
+        if not isinstance(self.tol, Tolerance):
+            raise TypeError(f"tol must be a Tolerance, got {self.tol!r}")
         if self.fmt not in ("csv", "json"):
             raise ValueError(f"format must be csv or json, got {self.fmt!r}")
 

@@ -30,6 +30,7 @@ from util import (
     brute_force_equivalence,
     identity_witness,
     looped_real_3x2,
+    noisy_image,
     random_point,
     random_unimodular,
     random_witness,
@@ -206,11 +207,6 @@ def _late_image(M, gen):
     return apply_witness(M, EquivalenceWitness(late, w.col_perm, w.row_phases, w.col_phases)), M
 
 
-def _noisy_d0(gen, eps):
-    # D0 with entrywise phase noise of at most 0.1*eps: still a CHM at eps.
-    return named("D0").matrix * np.exp(1j * gen.uniform(-0.1 * eps, 0.1 * eps, size=(6, 6)))
-
-
 def _oracle_cases():
     gen = rng(71)
     eps = DEFAULT_TOL.eps
@@ -234,7 +230,9 @@ def _oracle_cases():
         cases.append(pytest.param(apply_witness(F, random_witness(gen, d=d)), F, eps, id=f"F{d}-image"))
     for big in (1e-6, 1e-5, 1e-4):
         B = apply_witness(named("D0").matrix, random_witness(gen))
-        cases.append(pytest.param(_noisy_d0(gen, big), B, big, id=f"noisy-D0-{big:g}"))
+        # D0 with phase noise of at most 0.1*eps: still a CHM at eps.
+        A = noisy_image(gen, named("D0").matrix, big, 0.1)
+        cases.append(pytest.param(A, B, big, id=f"noisy-D0-{big:g}"))
     for d in (3, 5):  # drawn last, so the cases above keep their inputs
         F = _fourier(d)
         cases.append(pytest.param(apply_witness(F, random_witness(gen, d=d)), F, eps, id=f"F{d}-image"))
@@ -333,7 +331,7 @@ def test_screen_bound_follows_tol():
     tol = Tolerance(1e-5)
     D0 = named("D0").matrix
     for _ in range(5):
-        A = _noisy_d0(gen, tol.eps)
+        A = noisy_image(gen, D0, tol.eps, 0.1)
         B = apply_witness(D0, random_witness(gen))
         assert is_chm(A, tol).ok
         w = are_equivalent(A, B, tol)
@@ -402,3 +400,29 @@ def test_real_submatrices_match_looped_oracle():
     found = [real_submatrices_3x2(M) for M in inputs]
     assert found == [looped_real_3x2(M) for M in inputs]
     assert {r.rank for reports in found for r in reports} == {1, 2}
+
+
+@pytest.mark.parametrize("eps", [DEFAULT_TOL.eps, 1e-4])
+def test_real_submatrices_match_looped_oracle_off_chms(eps):
+    # Any finite 6x6 matrix is accepted. Entries come from {+-1, +-2, 0, +-i}
+    # or are random phases; some inputs carry an exactly proportional column
+    # pair (2 and 5) or a zero block (rows 2-4, cols 3-4).
+    gen = rng(79)
+    values = np.array([1, -1, 2, -2, 0, 1j, -1j])
+    inputs = []
+    for k in range(60):
+        M = gen.choice(values, size=(6, 6))
+        phased = gen.uniform(size=(6, 6)) < 0.2
+        M[phased] = np.exp(2j * np.pi * gen.uniform(size=int(phased.sum())))
+        if k % 3 == 0:
+            M[:, 4] = -2 * M[:, 1]
+        if k % 4 == 0:
+            M[1:4, 2:4] = 0
+        inputs.append(M)
+    tol = Tolerance(eps)
+    found = [real_submatrices_3x2(M, tol) for M in inputs]
+    assert found == [looped_real_3x2(M, tol) for M in inputs]
+    reports = [r for reports in found for r in reports]
+    assert {r.rank for r in reports} == {1, 2}
+    assert any(r.cols == (2, 5) and r.rank == 1 for r in reports)
+    assert any(r.rows == (2, 3, 4) and r.cols == (3, 4) for r in reports)

@@ -8,15 +8,20 @@ from chm import (
     DimensionMismatchError,
     EquivalenceWitness,
     NotCHMError,
+    Tolerance,
     apply_witness,
+    census_2x2,
     exclusion_report,
     family_h,
     FamilyPoint,
+    h2_block_structure,
+    is_chm,
     mu_pair,
     mu_set,
     named,
 )
-from util import random_phases, rng
+from chm.equivalence import _find_witness
+from util import noisy_image, random_phases, random_witness, rng
 
 F2 = np.array([[1, 1], [1, -1]], dtype=complex)
 
@@ -152,3 +157,72 @@ def test_report_json_shape():
     obj = report.to_obj()
     assert [r["id"] for r in obj["rules"]] == ["R1", "R2"]
     assert obj["rules"][1]["evidence"] == {"rows": [1, 3, 5], "cols": [1, 3, 5]}
+
+
+@pytest.mark.parametrize("eps", [1e-6, 1e-5, 1e-4])
+def test_r3_fires_exactly_when_the_search_finds_a_witness(eps):
+    # Noisy witness images of D0 and M1: the search finds all at 0.1*eps noise
+    # and misses some at 0.5 and 1.0*eps. The residual-table certificate in
+    # front of it must not turn any hit into a miss.
+    gen = rng(97)
+    tol = Tolerance(eps)
+    D0 = named("D0").matrix
+    outcomes = set()
+    for name in ("D0", "M1"):
+        for frac in (0.1, 0.5, 1.0):
+            for _ in range(4):
+                H = noisy_image(gen, apply_witness(named(name).matrix, random_witness(gen)), eps, frac)
+                if not is_chm(H, tol).ok:
+                    continue
+                witness = _find_witness(H, D0, tol)
+                fired = {hit.rule_id: hit.evidence for hit in exclusion_report(H, tol).rules_fired}
+                assert ("R3" in fired) == (witness is not None)
+                if witness is not None:
+                    assert fired["R3"] == witness.to_obj()
+                outcomes.add(witness is not None)
+    assert outcomes == {True, False}
+
+
+def _r3_cases():
+    gen = rng(98)
+
+    def image(name):
+        return apply_witness(named(name).matrix, random_witness(gen))
+
+    return [
+        pytest.param(family_h(FamilyPoint(1.0, 0.5)), 0, id="family"),
+        pytest.param(named("F6").matrix, 0, id="F6"),
+        pytest.param(named("S6").matrix, 0, id="S6"),
+        pytest.param(image("M2_w1"), 0, id="M2_w1-image"),
+        pytest.param(image("M1"), 1, id="M1-image"),
+        pytest.param(image("D0"), 1, id="D0-image"),
+    ]
+
+
+@pytest.mark.parametrize("H, searches", _r3_cases())
+def test_r3_searches_only_past_the_residual_certificate(monkeypatch, H, searches):
+    calls = []
+    search = chm.mub._find_witness
+    monkeypatch.setattr(chm.mub, "_find_witness", lambda *a: calls.append(1) or search(*a))
+    fired = [hit.rule_id for hit in exclusion_report(H).rules_fired]
+    assert len(calls) == searches
+    assert ("R3" in fired) == (searches == 1)
+
+
+def test_r4_fires_on_a_forbidden_count(monkeypatch):
+    # No CHM has a forbidden count, so the check is forced to report one.
+    M = family_h(FamilyPoint(1.0, 0.5))
+    monkeypatch.setattr(chm.mub, "forbidden_count_check", lambda n: False)
+    fired = {hit.rule_id: hit.evidence for hit in exclusion_report(M).rules_fired}
+    assert fired == {"R4": {"count": census_2x2(M).count, **h2_block_structure(M).to_obj()}}
+    # Not H2-reducible: no pairing, so no R4 whatever the count.
+    assert "R4" not in [hit.rule_id for hit in exclusion_report(named("S6").matrix).rules_fired]
+
+
+def test_r4_searches_no_pairing_for_an_admissible_count(monkeypatch):
+    calls = []
+    search = chm.mub._h2_from_table
+    monkeypatch.setattr(chm.mub, "_h2_from_table", lambda *a: calls.append(1) or search(*a))
+    for M in (family_h(FamilyPoint(1.0, 0.5)), named("M1").matrix, named("S6").matrix):
+        assert "R4" not in [hit.rule_id for hit in exclusion_report(M).rules_fired]
+    assert calls == []

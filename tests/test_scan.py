@@ -10,6 +10,7 @@ from chm import (
     FamilyPoint,
     NotCHMError,
     ScanConfig,
+    Tolerance,
     family_h,
     forbidden_count_check,
     gram_residual,
@@ -89,3 +90,21 @@ def test_family_stack_rejects_one_point_out_of_domain():
     _family_stack(x1s, x1s)
     with pytest.raises(DomainError, match="x2="):
         _family_stack(x1s, x1s[:-1] + [-math.pi / 2])
+
+
+@pytest.mark.parametrize("grid_n", [2.5, 16.0, "3", True, np.True_, None])
+def test_scan_config_rejects_a_grid_that_is_not_an_integer(grid_n):
+    with pytest.raises(ValueError, match="grid_n must be an integer"):
+        ScanConfig(grid_n, "unused")
+
+
+def test_scan_config_accepts_numpy_integers():
+    records, summary = run_scan(ScanConfig(np.int64(2), "unused"))
+    assert summary["points"] == len(records) == 4
+
+
+@pytest.mark.parametrize("tol", [1e-9, None, "1e-9"])
+def test_scan_config_rejects_a_tol_that_is_not_a_tolerance(tol):
+    with pytest.raises(TypeError, match="Tolerance"):
+        ScanConfig(16, "unused", tol=tol)
+    assert ScanConfig(16, "unused", tol=Tolerance(1e-6)).tol.eps == 1e-6

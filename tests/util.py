@@ -46,6 +46,11 @@ def random_point(gen):
     return FamilyPoint(float(x1), float(x2))
 
 
+def noisy_image(gen, M, eps, frac):
+    """M with each entry's phase moved by noise drawn uniformly from +-frac*eps."""
+    return M * np.exp(1j * gen.uniform(-frac * eps, frac * eps, size=M.shape))
+
+
 def identity_witness(d=6):
     ones = np.ones(d, dtype=complex)
     return EquivalenceWitness(
