@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import json
 import os
 import sys
 
@@ -19,7 +18,7 @@ from .core import (
     DEFAULT_EPS,
     Tolerance,
     json_dumps,
-    matrix_from_obj,
+    loads_matrix,
     matrix_to_obj,
 )
 from .equivalence import are_equivalent, count_real_entries, dephase
@@ -47,7 +46,7 @@ def _resolve_matrix(arg: str):
     """Turn a matrix argument into an array (name, family point, or @file)."""
     if arg.startswith("@"):
         with open(arg[1:], encoding="utf-8") as fh:
-            return matrix_from_obj(json.load(fh))
+            return loads_matrix(fh.read())
     if arg.startswith("family:"):
         parts = arg[len("family:") :].split(",")
         if len(parts) != 2:

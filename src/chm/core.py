@@ -118,13 +118,15 @@ def _entry_from_obj(e) -> complex:
     if not isinstance(e, dict) or set(e) != {"re", "im"}:
         raise InvalidMatrixError("matrix entry must be an object with re/im")
     re, im = e["re"], e["im"]
-    if isinstance(re, bool) or isinstance(im, bool):
+    if not all(isinstance(x, (int, float)) and not isinstance(x, bool) for x in (re, im)):
         raise InvalidMatrixError("matrix entry components must be numbers")
-    if not isinstance(re, (int, float)) or not isinstance(im, (int, float)):
-        raise InvalidMatrixError("matrix entry components must be numbers")
-    if not (math.isfinite(re) and math.isfinite(im)):
+    try:  # an int past float range overflows rather than converting to inf
+        z = complex(float(re), float(im))
+    except OverflowError:
+        z = complex(math.inf)
+    if not np.isfinite(z):
         raise InvalidMatrixError("matrix entry components must be finite")
-    return complex(re, im)
+    return z
 
 
 def matrix_from_obj(obj) -> np.ndarray:
@@ -160,7 +162,7 @@ def matrix_to_obj(M) -> dict:
 def loads_matrix(text: str) -> np.ndarray:
     try:
         obj = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:  # RecursionError: nesting too deep
         raise InvalidMatrixError(f"invalid JSON: {exc}") from exc
     return matrix_from_obj(obj)
 

@@ -7,7 +7,8 @@ factors, so the search only has to match dephased forms. It screens
 every pivot (row s, column t) of B by the sorted entries of B dephased
 there, pairs the rows of each surviving form with the rows of A's by
 their sorted entries, and walks only the row orders those pairs allow;
-the columns of each complete order are then matched directly.
+each complete order proposes the columns its form matches, for one
+entrywise check of the witness fitted to that proposal.
 """
 
 from __future__ import annotations
@@ -21,19 +22,18 @@ import numpy as np
 from .census import _P, _PAIRS_1, _T, _TRIPLES_1
 from .core import DEFAULT_TOL, Tolerance, _chm_check, as_matrix
 from .errors import (
-    ChmError,
     DimensionMismatchError,
     NotCHMError,
     SearchTimeoutError,
     ZeroPivotError,
 )
 
-# Floor of the bound, max(_PREFILTER_ATOL, 2*eps), of both screens: whole
-# dephased forms per pivot, and their rows per candidate row pairing. A pivot
-# whose witness passes the final eps check has dephased entries within
-# eps*(1 + O(eps)) of A's, and sorting is 1-Lipschitz, so neither screen
-# rejects a witness that check would accept: each row's sorted signature moves
-# by no more than the whole form's does.
+# Floor of the bound, max(_PREFILTER_ATOL, 2*eps), of every stage before the
+# final eps check: whole dephased forms per pivot, their rows per candidate
+# row pairing, and their columns per complete row order. The witness fitted
+# to (sigma, tau) misses A by |A_j0 A_0k / A_00| * |G - Ad| entrywise, G being
+# B's form under (sigma, tau), so one within eps has |G - Ad| < 2*eps; and
+# sorting is 1-Lipschitz, so no stage rejects a witness that check accepts.
 _PREFILTER_ATOL = 1e-7
 
 
@@ -167,7 +167,8 @@ def _signature(M) -> np.ndarray:
     return np.sort(np.abs(flat - np.array([[1.0], [1.0j]])), axis=-1)
 
 
-def _build_witness(A, B, sigma, tau, eps) -> EquivalenceWitness:
+def _build_witness(A, B, sigma, tau, eps) -> EquivalenceWitness | None:
+    # The witness fitted to A's first row and column, if within eps of A entrywise.
     d = len(sigma)
     Bp = B[np.ix_(sigma, tau)]
     rho = A[:, 0] / Bp[:, 0]
@@ -182,10 +183,7 @@ def _build_witness(A, B, sigma, tau, eps) -> EquivalenceWitness:
         row_phases=row_phases,
         col_phases=col_phases,
     )
-    err = float(np.abs(_apply(B, witness) - A).max())
-    if err > eps:
-        raise ChmError(f"internal error: witness fails verification (residual {err:.3g})")
-    return witness
+    return witness if np.abs(_apply(B, witness) - A).max() <= eps else None
 
 
 def are_equivalent(A, B, tol: Tolerance = DEFAULT_TOL, timeout: float | None = None):
@@ -198,13 +196,15 @@ def are_equivalent(A, B, tol: Tolerance = DEFAULT_TOL, timeout: float | None = N
     broadcast, and keeps the pivots whose sorted entries match A's dephased
     form. Under a kept pivot, row j of B's form may become row k of A's only
     if their sorted rows match too. Row permutations sigma with sigma[0] = s
-    are walked in lexicographic order through these candidates, and the
-    columns of each complete sigma are matched directly, so the d! x d!
-    candidate space is never materialized. Both screens use the bound
-    max(1e-7, 2*eps), which never rejects a witness the final eps check
-    accepts. Raises SearchTimeoutError if a time budget (seconds) is given
-    and hit; its `examined` is the lexicographic rank of the sigma reached.
-    The budget must be None, or finite and non-negative (else ValueError).
+    are walked in lexicographic order through these candidates; each
+    complete sigma proposes the columns tau its form matches, so the
+    d! x d! candidate space is never materialized. Every stage before the
+    final check uses the bound max(1e-7, 2*eps), which never rejects a
+    witness that check accepts; the only acceptance is that the phases
+    fitted to A's first row and column reproduce A within eps entrywise.
+    Raises SearchTimeoutError if a time budget (seconds) is given and hit;
+    its `examined` is the lexicographic rank of the sigma reached. The
+    budget must be None, or finite and non-negative (else ValueError).
     """
     if timeout is not None and not 0.0 <= timeout < math.inf:
         raise ValueError(f"timeout must be finite and >= 0 seconds, got {timeout!r}")
@@ -238,24 +238,26 @@ def _find_witness(A, B, tol: Tolerance, timeout: float | None = None):
             ts = np.flatnonzero(close[i]).tolist()
             # match[n, j, k]: under pivot (s0 + i, ts[n]), row j of the form may be
             # row k of Ad. Built `block` pivots at a time to bound memory as F is.
-            rows = _signature(F[i, ts][..., None, :])
+            forms = F[i, ts]
+            rows = _signature(forms[..., None, :])
             match = np.concatenate([
                 np.abs(rows[c : c + block, :, None] - rows_a).max(axis=(-2, -1)) <= atol
                 for c in range(0, len(ts), block)
             ])
-            witness = _walk(A, B, Ad, s0 + i, ts, match, eps, deadline)
-            if witness is not None:
-                return witness
+            for sigma, tau in _walk(forms, Ad, s0 + i, match, atol, deadline):
+                witness = _build_witness(A, B, sigma, tau, eps)
+                if witness is not None:
+                    return witness
     return None
 
 
-def _walk(A, B, Ad, s, ts, match, eps, deadline):
-    # The first (sigma, t) in lexicographic order with sigma[0] = s and t in ts
-    # whose columns match. Each node of the depth-first walk carries the
-    # indices n of the pivots (s, ts[n]) under which its rows all matched.
+def _walk(forms, Ad, s, match, atol, deadline):
+    # Yields in lexicographic order each (sigma, tau), sigma[0] = s, under which a
+    # form (B dephased at pivot (s, tau[0])) matches Ad within atol. Each node of
+    # the depth-first walk carries the indices n of the forms its rows all match.
     d = len(Ad)
     cand = match.transpose(2, 1, 0).tolist()  # [k][j][n]
-    stack = [((s,), [n for n in range(len(ts)) if cand[0][s][n]])]
+    stack = [((s,), [n for n in range(len(forms)) if cand[0][s][n]])]
     while stack:
         sigma, live = stack.pop()
         if deadline is not None and time.monotonic() > deadline:
@@ -269,13 +271,9 @@ def _walk(A, B, Ad, s, ts, match, eps, deadline):
                         for j in reversed(range(d)) if j not in sigma)
             stack.extend(child for child in children if child[1])
             continue
-        R = B[sigma, :]
-        E = R / R[0, :]
         for n in live:
-            # tau matches when E[:, tau[k]] == Ad[:, k] * E[:, t] entrywise.
-            T = Ad * E[:, ts[n]][:, None]
-            ok = np.abs(E[:, None, :] - T[:, :, None]).max(axis=0) <= eps
-            # CHM columns lie sqrt(2d) apart and eps < 1e-3: the matches are unique and form tau.
+            # ok[k, c]: column c of the form, rows in sigma order, matches Ad's column k.
+            ok = np.abs(forms[n][sigma, :][:, None, :] - Ad[:, :, None]).max(axis=0) <= atol
+            # CHM columns lie sqrt(2d) apart and atol < 2e-3: unique matches, tau[0] = pivot.
             if ok.any(axis=1).all():
-                return _build_witness(A, B, sigma, tuple(ok.argmax(axis=1).tolist()), eps)
-    return None
+                yield sigma, tuple(ok.argmax(axis=1).tolist())

@@ -7,6 +7,7 @@ import pytest
 import chm.cli
 from chm import EquivalenceWitness, apply_witness, json_dumps, matrix_to_obj, named
 from chm.cli import main
+from util import straddling_d0
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
 
@@ -81,6 +82,33 @@ def test_census_malformed_json(capsys, tmp_path):
     path.write_text("{not json", encoding="utf-8")
     code, _, _ = run(capsys, "census", f"@{path}")
     assert code == 3
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        '{"d": 1, "entries": [[{"re": 1' + "0" * 400 + ', "im": 0}]]}',
+        "[" * 200_000 + "]" * 200_000,
+    ],
+    ids=["huge-int", "deep"],
+)
+def test_malformed_matrix_file_is_invalid_input(capsys, tmp_path, text):
+    path = tmp_path / "bad.json"
+    path.write_text(text, encoding="utf-8")
+    code, out, err = run(capsys, "census", f"@{path}")
+    assert code == 3
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_straddling_gap_is_inequivalent(capsys, tmp_path):
+    # Dephased gap under eps, fitted witness over it: a plain miss.
+    arg = write_matrix(tmp_path / "a.json", straddling_d0(1))
+    code, out, _ = run(capsys, "equiv", arg, "D0", "--tol", "1e-4")
+    assert (code, out) == (1, "inequivalent\n")
+    code, out, _ = run(capsys, "exclusions", arg, "--tol", "1e-4")
+    assert code == 0
+    assert "R3" not in out
 
 
 def test_census_bad_family_spec(capsys):

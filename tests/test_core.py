@@ -180,8 +180,23 @@ def test_matrix_json_round_trip():
         {"d": 1, "entries": [[{"re": True, "im": 0}]]},
         {"d": 0, "entries": []},
         "nope",
+        {"d": 1, "entries": [[{"re": 0, "im": 10**400}]]},  # an int past float range
     ],
 )
 def test_matrix_from_obj_rejects_malformed(obj):
     with pytest.raises(InvalidMatrixError):
         matrix_from_obj(obj)
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "{not json",
+        "[" * 200_000 + "]" * 200_000,  # nested past the recursion limit
+        '{"d": 1, "entries": [[{"re": 1' + "0" * 400 + ', "im": 0}]]}',
+    ],
+    ids=["invalid", "deep", "huge-int"],
+)
+def test_loads_matrix_rejects_malformed(text):
+    with pytest.raises(InvalidMatrixError):
+        loads_matrix(text)

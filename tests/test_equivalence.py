@@ -18,6 +18,7 @@ from chm import (
     are_equivalent,
     count_real_entries,
     dephase,
+    exclusion_report,
     family_h,
     FamilyPoint,
     gram_residual,
@@ -35,6 +36,7 @@ from util import (
     random_unimodular,
     random_witness,
     rng,
+    straddling_d0,
 )
 
 
@@ -245,6 +247,9 @@ def _oracle_cases():
     cases.append(pytest.param(*_late_image(family_h(random_point(late)), late), eps, id="family-late"))
     F1 = _fourier(1)  # the smallest d; F2 to F5 images are above
     cases.append(pytest.param(apply_witness(F1, random_witness(late, d=1)), F1, eps, id="F1-image"))
+    # Dephased gap and witness residual on opposite sides of eps.
+    for s, verdict in ((1, "miss"), (-1, "hit")):
+        cases.append(pytest.param(straddling_d0(s), named("D0").matrix, 1e-4, id=f"straddle-{verdict}"))
     return cases
 
 
@@ -337,6 +342,23 @@ def test_screen_bound_follows_tol():
         w = are_equivalent(A, B, tol)
         assert w is not None
         assert np.abs(apply_witness(B, w) - A).max() <= tol.eps
+
+
+def test_only_the_entrywise_check_accepts():
+    # straddling_d0(+1): the dephased gap is under eps, so the walk proposes
+    # (sigma, tau), but the fitted witness misses A by more than eps.
+    # straddling_d0(-1): the gap is over eps, the witness within it.
+    tol = Tolerance(1e-4)
+    D0 = named("D0").matrix
+    miss, hit = straddling_d0(1), straddling_d0(-1)
+    assert is_chm(miss, tol).ok and is_chm(hit, tol).ok
+    assert np.abs(dephase(miss, tol) - D0).max() < tol.eps < np.abs(dephase(hit, tol) - D0).max()
+    assert are_equivalent(miss, D0, tol) is None
+    assert exclusion_report(miss, tol).rules_fired == ()
+    w = are_equivalent(hit, D0, tol)
+    assert w is not None
+    assert np.abs(apply_witness(D0, w) - hit).max() <= tol.eps
+    assert [r.rule_id for r in exclusion_report(hit, tol).rules_fired] == ["R3"]
 
 
 @pytest.mark.parametrize(

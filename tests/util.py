@@ -5,7 +5,7 @@ import itertools
 import numpy as np
 
 from chm import DEFAULT_TOL, EquivalenceWitness, FamilyPoint, H2Structure, Tolerance
-from chm import RealSubmatrixReport, SubmatrixLoc, as_matrix, dephase, is_sub_chm_2x2
+from chm import RealSubmatrixReport, SubmatrixLoc, as_matrix, dephase, is_sub_chm_2x2, named
 from chm.equivalence import _build_witness
 
 NATURAL_PAIRING = ((1, 2), (3, 4), (5, 6))
@@ -49,6 +49,26 @@ def random_point(gen):
 def noisy_image(gen, M, eps, frac):
     """M with each entry's phase moved by noise drawn uniformly from +-frac*eps."""
     return M * np.exp(1j * gen.uniform(-frac * eps, frac * eps, size=M.shape))
+
+
+def straddling_d0(s, eps=1e-4):
+    """D0 with a dephased gap at (3,4) (1-based) that straddles eps against its fit.
+
+    First row and column are scaled by 1 + s*0.3*eps (the corner by
+    1 - s*0.3*eps), and entry (3,4) leaves D0's dephased value by
+    delta = eps*(1 - s*0.45*eps) in phase. The witness fitted to D0's
+    first row and column then misses that entry by about eps*(1 + s*0.45*eps):
+    s = +1 has a dephased gap just under eps but no witness within eps;
+    s = -1 has a dephased gap just over eps and a witness within eps.
+    """
+    D0 = named("D0").matrix
+    A = D0.copy()
+    A[0, 1:] *= 1 + s * 0.3 * eps
+    A[1:, 0] *= 1 + s * 0.3 * eps
+    A[0, 0] *= 1 - s * 0.3 * eps
+    delta = eps * (1 - s * 0.45 * eps)
+    A[2, 3] = D0[2, 3] * (A[2, 0] * A[0, 3] / A[0, 0]) * (1 + 1j * delta)
+    return A
 
 
 def identity_witness(d=6):
@@ -222,21 +242,24 @@ def _complete_columns(ok, t, d):
 def brute_force_equivalence(A, B, eps=DEFAULT_TOL.eps):
     """Lexicographically smallest witness, trying every sigma and pivot column t.
 
-    No signature screen and a backtracking column completion; the phases
-    come from the library's _build_witness, so a found witness compares
-    bit for bit.
+    No signature screen and a backtracking column completion. Columns match
+    at the library's proposal bound max(1e-7, 2*eps), and a proposal counts
+    only if the library's _build_witness accepts its fit (entrywise within
+    eps), so a found witness compares bit for bit.
     """
     A = as_matrix(A)
     B = as_matrix(B)
     d = A.shape[0]
     Ad = dephase(A, Tolerance(eps))
+    atol = max(1e-7, 2 * eps)
     for sigma in itertools.permutations(range(d)):
         R = B[sigma, :]
         E = R / R[0, :]
         for t in range(d):
             T = Ad * E[:, t][:, None]
             diff = np.abs(E[:, None, :] - T[:, :, None]).max(axis=0)
-            tau = _complete_columns(diff <= eps, t, d)
-            if tau is not None:
-                return _build_witness(A, B, sigma, tau, eps)
+            tau = _complete_columns(diff <= atol, t, d)
+            witness = None if tau is None else _build_witness(A, B, sigma, tau, eps)
+            if witness is not None:
+                return witness
     return None
