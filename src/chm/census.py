@@ -141,13 +141,21 @@ def _residual_table(M, tol: Tolerance) -> np.ndarray:
     check = _chm_check(S, tol)
     if not check.ok:
         raise NotCHMError(f"expected a CHM (residual {check.residual:.3g})")
-    a = S[:, _R1[:, None], _R1[None, :]]
-    b = S[:, _R1[:, None], _R2[None, :]]
-    c = S[:, _R2[:, None], _R1[None, :]]
-    d = S[:, _R2[:, None], _R2[None, :]]
-    residual = np.abs(a * d + b * c)
-    alt = np.abs(a * np.conj(c) + b * np.conj(d))
-    worst = float(np.abs(residual - alt).max())
+    # The two rows of each row pair, [member, row pair, column]: a, b are A's
+    # entries at column pair q, c, d are B's. In place, few temporaries live.
+    A, B = S[:, _R1], S[:, _R2]
+    ad = A[..., _R1]
+    ad *= B[..., _R2]
+    bc = A[..., _R2]
+    bc *= B[..., _R1]
+    ad += bc
+    residual = np.abs(ad)
+    Q = A * np.conj(B)  # a conj(c) at column r1 of q, b conj(d) at column r2
+    alt = Q[..., _R1]
+    alt += Q[..., _R2]
+    gap = np.abs(alt)
+    gap -= residual
+    worst = float(np.abs(gap, out=gap).max())
     if worst > 10 * tol.eps:
         raise OracleDisagreementError(f"2x2 predicates disagree by {worst:.3g}")
     return residual

@@ -106,25 +106,6 @@ def _cmd_equiv(args) -> int:
     return 0
 
 
-# (name, help, matrix arguments, check), in --help order. A check maps the
-# resolved matrices and the Tolerance to (stdout object, exit code); equiv
-# has its own handler (--timeout, a plain "inequivalent" line) instead.
-_MATRIX_COMMANDS = (
-    ("census", "count 2x2 sub-CHM submatrices", ("matrix",),
-     lambda M, tol: (census_2x2(M, tol).to_obj(), 0)),
-    ("census3", "locate 3x3 sub-CHM submatrices", ("matrix",), _census3),
-    ("h2", "find a 2x2 block pairing structure", ("matrix",), _h2),
-    ("equiv", "search for a complex-equivalence witness", ("a", "b"), None),
-    ("mu", "check mutual unbiasedness of two bases", ("f", "g"), _mu),
-    ("exclusions", "evaluate trio-exclusion rules", ("matrix",),
-     lambda M, tol: (exclusion_report(M, tol).to_obj(), 0)),
-    ("dephase", "print the dephased form", ("matrix",),
-     lambda M, tol: (matrix_to_obj(dephase(M, tol)), 0)),
-    ("real", "count real entries", ("matrix",),
-     lambda M, tol: ({"count": count_real_entries(M, tol)}, 0)),
-)
-
-
 def _cmd_scan(args) -> int:
     config = ScanConfig(
         grid_n=args.grid,
@@ -139,13 +120,46 @@ def _cmd_scan(args) -> int:
     return 0
 
 
-def _add_tol(parser) -> None:
-    parser.add_argument(
-        "--tol",
-        type=float,
-        default=None,
-        help="absolute tolerance (default 1e-9, or the CHM_TOL env var)",
-    )
+_TOL = ("--tol", {"type": float, "default": None,
+                  "help": "absolute tolerance (default 1e-9, or the CHM_TOL env var)"})
+
+
+def _matrix_command(name, help_text, matrices, check):
+    # A check maps the resolved matrices and the Tolerance to (stdout object,
+    # exit code); every such command takes its matrices and --tol.
+    args = tuple((arg, {}) for arg in matrices) + (_TOL,)
+    return name, help_text, args, functools.partial(_run, matrices, check)
+
+
+# (name, help, arguments as (name or flag, add_argument keywords), handler),
+# in --help order. equiv has its own handler (--timeout, a plain
+# "inequivalent" line) instead of a check.
+_COMMANDS = (
+    ("show", "print a registry matrix as JSON", (("name", {}),), _cmd_show),
+    ("registry", "list registry matrices",
+     (("action", {"nargs": "?", "default": "list", "choices": ["list"]}),), _cmd_registry),
+    _matrix_command("census", "count 2x2 sub-CHM submatrices", ("matrix",),
+                    lambda M, tol: (census_2x2(M, tol).to_obj(), 0)),
+    _matrix_command("census3", "locate 3x3 sub-CHM submatrices", ("matrix",), _census3),
+    _matrix_command("h2", "find a 2x2 block pairing structure", ("matrix",), _h2),
+    ("equiv", "search for a complex-equivalence witness",
+     (("a", {}), ("b", {}), _TOL,
+      ("--timeout", {"type": float, "default": 120.0, "help": "search budget in seconds"})),
+     _cmd_equiv),
+    _matrix_command("mu", "check mutual unbiasedness of two bases", ("f", "g"), _mu),
+    _matrix_command("exclusions", "evaluate trio-exclusion rules", ("matrix",),
+                    lambda M, tol: (exclusion_report(M, tol).to_obj(), 0)),
+    _matrix_command("dephase", "print the dephased form", ("matrix",),
+                    lambda M, tol: (matrix_to_obj(dephase(M, tol)), 0)),
+    _matrix_command("real", "count real entries", ("matrix",),
+                    lambda M, tol: ({"count": count_real_entries(M, tol)}, 0)),
+    ("scan", "grid sweep of the family census",
+     (("--grid", {"type": int, "required": True, "help": "points per axis (>= 2)"}),
+      ("--out", {"required": True, "help": "output file path"}),
+      ("--format", {"choices": ["csv", "json"], "default": "csv"}), _TOL),
+     _cmd_scan),
+)
+_COMMAND_NAMES = frozenset(command[0] for command in _COMMANDS)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -155,44 +169,31 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_INVALID, f"{self.prog}: error: {message}\n")
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(only=None) -> argparse.ArgumentParser:
+    """The chm parser; with `only`, the top level and that command's subparser."""
     parser = _Parser(
         prog="chm",
         description="Structure checks and censuses for 6x6 complex Hadamard matrices.",
     )
+    if only is not None:
+        # A top-level usage error lists every command, as the full parser does.
+        parser.error = lambda message: build_parser().error(message)
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("show", help="print a registry matrix as JSON")
-    p.add_argument("name")
-    p.set_defaults(func=_cmd_show)
-
-    p = sub.add_parser("registry", help="list registry matrices")
-    p.add_argument("action", nargs="?", default="list", choices=["list"])
-    p.set_defaults(func=_cmd_registry)
-
-    for name, help_text, matrices, check in _MATRIX_COMMANDS:
-        p = sub.add_parser(name, help=help_text)
-        for arg in matrices:
-            p.add_argument(arg)
-        _add_tol(p)
-        p.set_defaults(func=functools.partial(_run, matrices, check))
-
-    p = sub.choices["equiv"]
-    p.add_argument("--timeout", type=float, default=120.0, help="search budget in seconds")
-    p.set_defaults(func=_cmd_equiv)
-
-    p = sub.add_parser("scan", help="grid sweep of the family census")
-    p.add_argument("--grid", type=int, required=True, help="points per axis (>= 2)")
-    p.add_argument("--out", required=True, help="output file path")
-    p.add_argument("--format", choices=["csv", "json"], default="csv")
-    _add_tol(p)
-    p.set_defaults(func=_cmd_scan)
-
+    for name, help_text, arguments, handler in _COMMANDS:
+        if only in (None, name):
+            p = sub.add_parser(name, help=help_text)
+            for arg, options in arguments:
+                p.add_argument(arg, **options)
+            p.set_defaults(func=handler)
     return parser
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    # Build only the invoked command's subparser; help, no command and an
+    # unknown command get the full parser.
+    only = argv[0] if argv and argv[0] in _COMMAND_NAMES else None
+    args = build_parser(only).parse_args(argv)
     try:
         return args.func(args)
     except UnknownNameError as exc:

@@ -101,15 +101,16 @@ def family_h(point: FamilyPoint) -> np.ndarray:
     f3 = _f(-x1, -x2)
     f4 = _f(-x1, x2)
     f1c, f2c, f3c, f4c = (f.conjugate() for f in (f1, f2, f3, f4))
-    rows = [
-        [1, 1, 1, 1, 1, 1],
-        [1, -1, z1, -z1, z1, -z1],
-        [1, z2, -f1, -z2 * f2, -f3c, -z2 * f4c],
-        [1, -z2, -z1 * f2c, z1 * z2 * f1c, -z1 * f4, z1 * z2 * f3],
-        [1, z2, -f3c, -z2 * f4c, -f1, -z2 * f2],
-        [1, -z2, -z1 * f4, z1 * z2 * f3, -z1 * f2c, z1 * z2 * f1c],
-    ]
-    return np.array(rows, dtype=np.complex128)
+    # One flat tuple, row by row: numpy converts it faster than nested lists.
+    entries = (
+        1, 1, 1, 1, 1, 1,
+        1, -1, z1, -z1, z1, -z1,
+        1, z2, -f1, -z2 * f2, -f3c, -z2 * f4c,
+        1, -z2, -z1 * f2c, z1 * z2 * f1c, -z1 * f4, z1 * z2 * f3,
+        1, z2, -f3c, -z2 * f4c, -f1, -z2 * f2,
+        1, -z2, -z1 * f4, z1 * z2 * f3, -z1 * f2c, z1 * z2 * f1c,
+    )
+    return np.array(entries, dtype=np.complex128).reshape(6, 6)
 
 
 def _family_stack(x1s, x2s) -> np.ndarray:

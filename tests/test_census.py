@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from chm import (
+    DEFAULT_TOL,
     CensusResult,
     H2Structure,
     NonSquareError,
@@ -22,7 +23,8 @@ from chm import (
     named,
     registry_names,
 )
-from chm.census import _PAIRING_PAIRS, _PAIRINGS, _PAIRS
+from chm.census import _PAIRING_PAIRS, _PAIRINGS, _PAIRS, _residual_table
+from chm.scan import grid_values
 from util import (
     NATURAL_PAIRING,
     PAIRINGS,
@@ -33,6 +35,7 @@ from util import (
     random_point,
     random_unimodular,
     random_witness,
+    residual_table_oracle,
     rng,
 )
 
@@ -238,6 +241,19 @@ def test_3x3_census_matches_looped_oracle(oracle_matrices):
     for M in oracle_matrices + off_chm:
         assert find_3x3_sub_chms(M) == looped_census_3x3(M)
     assert SubmatrixLoc(rows=(1, 3, 5), cols=(2, 4, 6)) in find_3x3_sub_chms(off_chm[-1])
+
+
+@pytest.mark.parametrize("size", [1, 5, 32, 33])
+def test_residual_table_matches_four_gather_oracle(size):
+    # Stacks drawn from the registry, a witness image of each, and the 25
+    # grid-65536 points nearest the corner x1 = x2 = pi/2.
+    gen = rng(61)
+    pool = [named(name).matrix for name in registry_names()]
+    pool += [apply_witness(M, random_witness(gen)) for M in pool]
+    corner = grid_values(65536)[-5:]
+    pool += [family_h(FamilyPoint(x1, x2)) for x1 in corner for x2 in corner]
+    S = np.array([pool[k] for k in gen.choice(len(pool), size, replace=False)])
+    assert np.array_equal(_residual_table(S, DEFAULT_TOL), residual_table_oracle(S))
 
 
 @pytest.mark.parametrize("name", ["M2_w1", "S6"])

@@ -1,14 +1,17 @@
 """The CLI surface pinned byte for byte: help text, stdout and exit codes.
 
 Every expected value was recorded from the CLI as it stood before its
-matrix commands shared one dispatch path. COLUMNS=80 fixes argparse's
-line wrapping.
+matrix commands shared one dispatch path; the usage errors, from the CLI
+as it stood before it built only the invoked command's subparser.
+COLUMNS=80 fixes argparse's line wrapping.
 """
 
 import hashlib
+import sys
 
 import pytest
 
+from chm import cli
 from chm.cli import main
 
 TOP_HELP = """\
@@ -125,3 +128,80 @@ def test_malformed_env_tolerance_is_read_only_when_needed(capsys, monkeypatch):
     assert captured.err == "error: could not convert string to float: 'abc'\n"
     assert main(["show", "M1"]) == 0
     assert main(["census", "M1", "--tol", "1e-6"]) == 0
+
+
+TOP_USAGE = """\
+usage: chm [-h]
+           {show,registry,census,census3,h2,equiv,mu,exclusions,dephase,real,scan}
+           ...
+"""
+SCAN_USAGE = "usage: chm scan [-h] --grid GRID --out OUT [--format {csv,json}] [--tol TOL]\n"
+CENSUS_USAGE = "usage: chm census [-h] [--tol TOL] matrix\n"
+
+# (argv, stderr) of usage errors, all exit 3. A command's own subparser
+# reports its errors; a top-level error lists every command, whether or not
+# argv names one.
+USAGE_ERRORS = [
+    (("census", "M1", "extra"), TOP_USAGE + "chm: error: unrecognized arguments: extra\n"),
+    (("scan", "--grid", "x", "--out", "y"),
+     SCAN_USAGE + "chm scan: error: argument --grid: invalid int value: 'x'\n"),
+    (("census",), CENSUS_USAGE + "chm census: error: the following arguments are required: matrix\n"),
+    (("scan",), SCAN_USAGE + "chm scan: error: the following arguments are required: --grid, --out\n"),
+    (("bogus",), TOP_USAGE + "chm: error: argument command: invalid choice: 'bogus' (choose from "
+     "'show', 'registry', 'census', 'census3', 'h2', 'equiv', 'mu', 'exclusions', 'dephase', "
+     "'real', 'scan')\n"),
+    (("census", "--tol"), CENSUS_USAGE + "chm census: error: argument --tol: expected one argument\n"),
+    (("equiv", "M1"), "usage: chm equiv [-h] [--tol TOL] [--timeout TIMEOUT] a b\n"
+     "chm equiv: error: the following arguments are required: b\n"),
+    (("registry", "nope"), "usage: chm registry [-h] [{list}]\n"
+     "chm registry: error: argument action: invalid choice: 'nope' (choose from 'list')\n"),
+    ((), TOP_USAGE + "chm: error: the following arguments are required: command\n"),
+]
+
+
+@pytest.mark.parametrize("argv, err", USAGE_ERRORS)
+def test_usage_errors(capsys, argv, err):
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    assert exc.value.code == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == err
+
+
+def _count_parsers(monkeypatch):
+    built = []
+    init = cli._Parser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(cli._Parser, "__init__", counting_init)
+    return built
+
+
+def test_a_command_builds_only_its_own_subparser(capsys, monkeypatch):
+    built = _count_parsers(monkeypatch)
+    assert main(["census", "M1"]) == 0
+    assert built == ["chm", "chm census"]
+
+
+def test_top_level_help_builds_every_subparser(capsys, monkeypatch):
+    built = _count_parsers(monkeypatch)
+    _help(capsys, ["--help"])
+    assert len(built) == 12
+
+
+def test_console_script_reads_sys_argv(capsys, monkeypatch):
+    monkeypatch.setattr(sys, "argv", ["chm", "census", "M1"])
+    assert main() == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    assert STDOUT_SHA256[0][0] == ("census", "M1")
+    assert _sha256(captured.out) == STDOUT_SHA256[0][2]
+    monkeypatch.setattr(sys, "argv", ["chm", "census", "M1", "extra"])
+    with pytest.raises(SystemExit) as exc:
+        main()
+    assert exc.value.code == 3
+    assert capsys.readouterr().err == USAGE_ERRORS[0][1]

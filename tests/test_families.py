@@ -26,7 +26,7 @@ from chm import (
 )
 from chm.families import _family_stack
 from chm.scan import grid_values
-from util import NATURAL_PAIRING, random_point, rng
+from util import NATURAL_PAIRING, family_h_oracle, random_point, rng
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
 
@@ -154,6 +154,16 @@ def test_family_stack_stacks_family_h_exactly():
     assert stack.shape == (len(points), 6, 6) and stack.dtype == np.complex128
     for (x1, x2), M in zip(points, stack):
         assert (M == family_h(FamilyPoint(x1, x2))).all()
+
+
+def test_family_h_matches_nested_row_oracle():
+    points = [(x1, x2) for x1 in grid_values(64) for x2 in grid_values(64)] + NEAR_CORNER
+    assert (math.pi / 2, math.pi / 2) in points
+    gen = rng(73)
+    points += [(p.x1, p.x2) for p in (random_point(gen) for _ in range(200))]
+    for x1, x2 in points:
+        p = FamilyPoint(x1, x2)
+        assert np.array_equal(family_h(p), family_h_oracle(p)), (x1, x2)
 
 
 def test_family_reducible_at_random_points():

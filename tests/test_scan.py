@@ -11,7 +11,11 @@ from chm import (
     NotCHMError,
     ScanConfig,
     Tolerance,
+    census_2x2,
+    count_real_entries,
+    exclusion_report,
     family_h,
+    find_3x3_sub_chms,
     forbidden_count_check,
     gram_residual,
     grid_values,
@@ -60,6 +64,38 @@ def test_scan_stack_covers_the_grid_corner(grid_n):
     records = _scan_stack(x1s, x2s, DEFAULT_TOL.eps)
     assert [(r.x1, r.x2) for r in records] == list(zip(x1s, x2s))
     assert all(r.h2_found and not r.forbidden for r in records)
+
+
+_HALF_PI = math.pi / 2
+
+
+# (point, 2x2 count, 3x3 count, real-entry count, exclusion rules fired):
+# the largest counts are not confined to the corner x1 = x2 = pi/2.
+AXIS_AND_CORNER_POINTS = [
+    ((0.0, 0.0), 45, 28, 20, ["R2"]),
+    ((_HALF_PI, 0.0), 33, 16, 16, ["R2"]),
+    ((0.0, _HALF_PI), 33, 16, 16, ["R2"]),
+    ((_HALF_PI, _HALF_PI), 75, 0, 24, ["R1", "R3"]),
+]
+
+
+@pytest.mark.parametrize("point, n2, n3, real, rules", AXIS_AND_CORNER_POINTS)
+def test_counts_at_the_axis_and_corner_points(point, n2, n3, real, rules):
+    M = family_h(FamilyPoint(*point))
+    assert census_2x2(M).count == n2
+    assert len(find_3x3_sub_chms(M)) == n3
+    assert count_real_entries(M) == real
+    assert [hit.rule_id for hit in exclusion_report(M).rules_fired] == rules
+    assert scan_point(*point).n == n2
+
+
+def test_grid_16_scan_reports_the_origin_and_axis_points():
+    records, summary = run_scan(ScanConfig(grid_n=16, out_path="unused"))
+    by_point = {(r.x1, r.x2): r.n for r in records}
+    assert records[119].x1 == records[119].x2 == 0.0  # CSV line 121, after the header
+    for point, n2, *_ in AXIS_AND_CORNER_POINTS:
+        assert by_point[point] == n2
+    assert summary["maxN"] == 75
 
 
 def test_scan_point_checks_chm_once(monkeypatch):

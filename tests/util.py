@@ -1,5 +1,6 @@
 """Shared helpers for the test suite."""
 
+import cmath
 import itertools
 
 import numpy as np
@@ -7,6 +8,7 @@ import numpy as np
 from chm import DEFAULT_TOL, EquivalenceWitness, FamilyPoint, H2Structure, Tolerance
 from chm import RealSubmatrixReport, SubmatrixLoc, as_matrix, dephase, is_sub_chm_2x2, named
 from chm.equivalence import _build_witness
+from chm.families import _f
 
 NATURAL_PAIRING = ((1, 2), (3, 4), (5, 6))
 
@@ -125,6 +127,34 @@ def brute_force_h2(M, tol=DEFAULT_TOL):
                     col_pairing=tuple((a + 1, b + 1) for a, b in cp),
                 )
     return None
+
+
+def residual_table_oracle(S):
+    """(B, 15, 15) residuals |ad + bc| of a (B, 6, 6) stack, one gather per entry."""
+    r1, r2 = np.array(PAIRS).T
+    a = S[:, r1[:, None], r1[None, :]]
+    b = S[:, r1[:, None], r2[None, :]]
+    c = S[:, r2[:, None], r1[None, :]]
+    d = S[:, r2[:, None], r2[None, :]]
+    return np.abs(a * d + b * c)
+
+
+def family_h_oracle(point):
+    """family_h built from nested rows of mixed int and complex entries."""
+    x1, x2 = point.x1, point.x2
+    z1 = cmath.exp(1j * x1)
+    z2 = cmath.exp(1j * x2)
+    f1, f2, f3, f4 = _f(x1, x2), _f(x1, -x2), _f(-x1, -x2), _f(-x1, x2)
+    f1c, f2c, f3c, f4c = (f.conjugate() for f in (f1, f2, f3, f4))
+    rows = [
+        [1, 1, 1, 1, 1, 1],
+        [1, -1, z1, -z1, z1, -z1],
+        [1, z2, -f1, -z2 * f2, -f3c, -z2 * f4c],
+        [1, -z2, -z1 * f2c, z1 * z2 * f1c, -z1 * f4, z1 * z2 * f3],
+        [1, z2, -f3c, -z2 * f4c, -f1, -z2 * f2],
+        [1, -z2, -z1 * f4, z1 * z2 * f3, -z1 * f2c, z1 * z2 * f1c],
+    ]
+    return np.array(rows, dtype=np.complex128)
 
 
 def looped_census_3x3(M, tol=DEFAULT_TOL):
