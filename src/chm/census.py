@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import DEFAULT_TOL, CheckResult, Tolerance, _chm_check, as_matrix
+from .core import DEFAULT_TOL, CheckResult, Tolerance, _chm_residual, _prepare, _Prepared
 from .errors import (
     DimensionMismatchError,
     NotCHMError,
@@ -131,18 +131,30 @@ def _residual_table(M, tol: Tolerance) -> np.ndarray:
 
     Entry [m, p, q] belongs to member m, row pair p and column pair q. Every
     2x2 check reads these tables. The caller passes a finite complex stack
-    (one matrix is a stack of one); the table checks the rest: every member
-    is a 6x6 CHM, and |a conj(c) + b conj(d)| agrees within 10*eps on all 225
-    submatrices of every member.
+    (one matrix is a stack of one), or a prepared matrix, which keeps its CHM
+    residual and table for every later call; the table checks the rest: every
+    member is a 6x6 CHM, and |a conj(c) + b conj(d)| agrees within 10*eps on
+    all 225 submatrices of every member.
     """
-    S = M.reshape(-1, *M.shape[-2:])
-    if S.shape[-2:] != (6, 6):
-        raise DimensionMismatchError(f"expected a 6x6 matrix, got {S.shape[-2:]}")
-    check = _chm_check(S, tol)
-    if not check.ok:
-        raise NotCHMError(f"expected a CHM (residual {check.residual:.3g})")
-    # The two rows of each row pair, [member, row pair, column]: a, b are A's
+    P = M if isinstance(M, _Prepared) else _Prepared(M)
+    shape = P.matrix.shape[-2:]
+    if shape != (6, 6):
+        raise DimensionMismatchError(f"expected a 6x6 matrix, got {shape}")
+    check = P.cached(_chm_residual)
+    if check > tol.eps:
+        raise NotCHMError(f"expected a CHM (residual {check:.3g})")
+    residual, worst = P.cached(_pair_residuals)
+    if worst > 10 * tol.eps:
+        raise OracleDisagreementError(f"2x2 predicates disagree by {worst:.3g}")
+    return residual
+
+
+def _pair_residuals(M) -> tuple[np.ndarray, float]:
+    # The (B, 15, 15) residuals |ad + bc| of a finite 6x6 matrix or (B, 6, 6)
+    # stack, and their largest gap to |a conj(c) + b conj(d)|. A and B hold the
+    # two rows of each row pair, [member, row pair, column]: a, b are A's
     # entries at column pair q, c, d are B's. In place, few temporaries live.
+    S = M.reshape(-1, 6, 6)
     A, B = S[:, _R1], S[:, _R2]
     ad = A[..., _R1]
     ad *= B[..., _R2]
@@ -155,15 +167,12 @@ def _residual_table(M, tol: Tolerance) -> np.ndarray:
     alt += Q[..., _R2]
     gap = np.abs(alt)
     gap -= residual
-    worst = float(np.abs(gap, out=gap).max())
-    if worst > 10 * tol.eps:
-        raise OracleDisagreementError(f"2x2 predicates disagree by {worst:.3g}")
-    return residual
+    return residual, float(np.abs(gap, out=gap).max())
 
 
 def census_2x2(M, tol: Tolerance = DEFAULT_TOL) -> CensusResult:
     """Count and locate the 2x2 sub-CHMs among the 225 submatrices of a 6x6 CHM."""
-    hits = np.flatnonzero(_residual_table(as_matrix(M), tol)[0] <= tol.eps)
+    hits = np.flatnonzero(_residual_table(_prepare(M), tol)[0] <= tol.eps)
     return CensusResult(count=len(hits), locations=tuple(_LOCS_2X2[k] for k in hits))
 
 
@@ -174,14 +183,9 @@ def find_3x3_sub_chms(M, tol: Tolerance = DEFAULT_TOL) -> list[SubmatrixLoc]:
     the entrywise row-pair products x * conj(y), must have modulus <= 3*eps
     (three unimodular terms). Such a submatrix is itself a 3x3 CHM.
     """
-    M = as_matrix(M)
+    M = _prepare(M).matrix
     if M.shape != (6, 6):
         raise DimensionMismatchError(f"expected a 6x6 matrix, got {M.shape}")
-    return _sub_chms_3x3(M, tol)
-
-
-def _sub_chms_3x3(M, tol: Tolerance) -> list[SubmatrixLoc]:
-    # find_3x3_sub_chms on a validated 6x6 matrix.
     X = M[_T]  # [row triple, row, column]
     u = X[:, [0, 0, 1]] * X[:, [1, 2, 2]].conj()  # [row triple, row pair, column]
     worst = np.abs(u[..., _T].sum(-1)).max(axis=1)  # [row triple, column triple]
@@ -211,7 +215,7 @@ def h2_block_structure(M, tol: Tolerance = DEFAULT_TOL):
 
     Searches all 15 x 15 pairing combinations.
     """
-    return _h2_from_table(_residual_table(as_matrix(M), tol), tol.eps)
+    return _h2_from_table(_residual_table(_prepare(M), tol), tol.eps)
 
 
 def forbidden_count_check(n: int) -> bool:

@@ -7,6 +7,7 @@ for matrix entries; row/column 1 is the top-left.
 
 from __future__ import annotations
 
+import cmath
 import json
 import math
 from dataclasses import dataclass
@@ -83,7 +84,9 @@ def unimodularity_residual(M) -> float:
 def _gram_residuals(stack: np.ndarray) -> np.ndarray:
     # Per member of a validated stack: largest |(M M* - d I)_jk|.
     d = stack.shape[-1]
-    return np.abs(stack @ stack.conj().transpose(0, 2, 1) - d * np.eye(d)).max(axis=(1, 2))
+    G = stack @ stack.conj().transpose(0, 2, 1)
+    G.reshape(len(G), -1)[:, :: d + 1] -= d  # the diagonal, in place: no d * I is built
+    return np.abs(G).max(axis=(1, 2))
 
 
 def gram_residual(M) -> float:
@@ -99,14 +102,55 @@ def is_chm(M, tol: Tolerance = DEFAULT_TOL) -> CheckResult:
     gram residual / d), keeping ok <=> residual <= eps. On a (B, d, d)
     stack, ok means every member passes; the residual is the worst one's.
     """
-    return _chm_check(_as_stack(M), tol)
-
-
-def _chm_check(M: np.ndarray, tol: Tolerance) -> CheckResult:
-    # is_chm on a validated (B, d, d) stack.
-    d = M.shape[-1]
-    residual = max(_unimodularity(M), float(_gram_residuals(M).max()) / d)
+    residual = _chm_residual(_as_stack(M))
     return CheckResult(residual <= tol.eps, residual)
+
+
+def _chm_residual(M: np.ndarray) -> float:
+    # is_chm's residual of a validated matrix or (B, d, d) stack: the worst member's.
+    S = M.reshape(-1, *M.shape[-2:])
+    return max(_unimodularity(S), float(_gram_residuals(S).max()) / S.shape[-1])
+
+
+# --- prepared matrices --------------------------------------------------------
+
+
+class _Prepared:
+    """A validated d x d matrix, read-only, and the data the checks derive from it.
+
+    cached(build) is build(matrix), computed on first use and kept. No builder
+    takes a tolerance: verdicts compare the kept numbers with the caller's
+    eps, so one object serves every tolerance.
+    """
+
+    __slots__ = ("matrix", "_cache")
+
+    def __init__(self, M: np.ndarray):
+        if M.flags.writeable:
+            M = M.view()
+            M.flags.writeable = False
+        self.matrix = M
+        self._cache = {}
+
+    def cached(self, build):
+        if build not in self._cache:
+            self._cache[build] = build(self.matrix)
+        return self._cache[build]
+
+
+# One prepared object per registry matrix, by the id of its read-only array,
+# kept for the life of the process (the arrays live as long).
+_KEPT: dict[int, _Prepared] = {}
+
+
+def _prepare(M) -> _Prepared:
+    """M itself if already prepared; else as_matrix(M), then the kept object
+    when M is a registry array, or a fresh object."""
+    if isinstance(M, _Prepared):
+        return M
+    M = as_matrix(M)
+    P = _KEPT.get(id(M))
+    return P if P is not None and P.matrix is M else _Prepared(M)
 
 
 # --- JSON wire format -------------------------------------------------------
@@ -124,7 +168,7 @@ def _entry_from_obj(e) -> complex:
         z = complex(float(re), float(im))
     except OverflowError:
         z = complex(math.inf)
-    if not np.isfinite(z):
+    if not cmath.isfinite(z):
         raise InvalidMatrixError("matrix entry components must be finite")
     return z
 

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .census import _P, _PAIRS_1, _T, _TRIPLES_1
-from .core import DEFAULT_TOL, Tolerance, _chm_check, as_matrix
+from .core import _KEPT, DEFAULT_TOL, Tolerance, _chm_residual, _prepare, as_matrix
 from .errors import (
     DimensionMismatchError,
     NotCHMError,
@@ -91,16 +91,16 @@ def dephase(M, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
     Entry (j,k) becomes M_jk * M_11 / (M_j1 * M_1k). Requires every
     first-row and first-column entry to have modulus at least eps.
     """
-    return _dephase(as_matrix(M), tol)
-
-
-def _dephase(M, tol: Tolerance) -> np.ndarray:
-    # dephase on a validated matrix.
-    col0 = M[:, 0]
-    row0 = M[0, :]
-    if min(np.abs(col0).min(), np.abs(row0).min()) < tol.eps:
+    M = as_matrix(M)
+    if min(np.abs(M[:, 0]).min(), np.abs(M[0, :]).min()) < tol.eps:
         raise ZeroPivotError("first row/column entry too close to zero to dephase")
-    return M * (M[0, 0] / (col0[:, None] * row0[None, :]))
+    return _dephased(M)
+
+
+def _dephased(M) -> np.ndarray:
+    # dephase's form, for a matrix whose first row and column have no zero
+    # entry (dephase checks them; a CHM's entries are near modulus 1).
+    return M * (M[0, 0] / (M[:, 0][:, None] * M[0, :][None, :]))
 
 
 def apply_witness(M, witness: EquivalenceWitness) -> np.ndarray:
@@ -111,24 +111,15 @@ def apply_witness(M, witness: EquivalenceWitness) -> np.ndarray:
         raise DimensionMismatchError(
             f"witness is for dimension {len(witness.row_perm)}, matrix has {d}"
         )
-    return _apply(M, witness)
-
-
-def _apply(M, witness: EquivalenceWitness) -> np.ndarray:
-    # apply_witness on a validated matrix of the witness's dimension.
     rp = np.asarray(witness.row_perm) - 1
     cp = np.asarray(witness.col_perm) - 1
     phased = witness.row_phases[:, None] * M * witness.col_phases[None, :]
-    return phased[np.ix_(rp, cp)]
+    return phased[rp][:, cp]
 
 
 def count_real_entries(M, tol: Tolerance = DEFAULT_TOL) -> int:
     """Number of entries whose imaginary part is within eps of zero."""
-    return _count_real(as_matrix(M), tol)
-
-
-def _count_real(M, tol: Tolerance) -> int:
-    # count_real_entries on a validated matrix.
+    M = _prepare(M).matrix
     return int((np.abs(M.imag) <= tol.eps).sum())
 
 
@@ -168,22 +159,33 @@ def _signature(M) -> np.ndarray:
 
 
 def _build_witness(A, B, sigma, tau, eps) -> EquivalenceWitness | None:
-    # The witness fitted to A's first row and column, if within eps of A entrywise.
+    # The witness whose phases fit R = A / B[sigma, tau] entrywise, if within eps
+    # of A: first fitted to R's first row and column; if that misses, refitted
+    # to all of R by three rounds of rank-1 phase averaging (the column phases
+    # from every row, then the row phases from every column).
+    Bp = B[list(sigma)][:, list(tau)]
+    R = A / Bp
+    rho = R[:, 0]
+    gamma = R[0, :] / rho[0]
+    if np.abs(rho[:, None] * Bp * gamma[None, :] - A).max() > eps:
+        for _ in range(3):
+            gamma = R.T @ rho.conj()
+            gamma /= np.abs(gamma)
+            rho = R @ gamma.conj()
+            rho /= np.abs(rho)
+        if np.abs(rho[:, None] * Bp * gamma[None, :] - A).max() > eps:
+            return None
     d = len(sigma)
-    Bp = B[np.ix_(sigma, tau)]
-    rho = A[:, 0] / Bp[:, 0]
-    gamma = (A[0, :] / Bp[0, :]) / rho[0]
     row_phases = np.empty(d, dtype=np.complex128)
     col_phases = np.empty(d, dtype=np.complex128)
     row_phases[list(sigma)] = rho
     col_phases[list(tau)] = gamma
-    witness = EquivalenceWitness(
+    return EquivalenceWitness(
         row_perm=tuple(s + 1 for s in sigma),
         col_perm=tuple(t + 1 for t in tau),
         row_phases=row_phases,
         col_phases=col_phases,
     )
-    return witness if np.abs(_apply(B, witness) - A).max() <= eps else None
 
 
 def are_equivalent(A, B, tol: Tolerance = DEFAULT_TOL, timeout: float | None = None):
@@ -193,53 +195,54 @@ def are_equivalent(A, B, tol: Tolerance = DEFAULT_TOL, timeout: float | None = N
     (row_perm, col_perm) if the matrices are equivalent, else None.
 
     A screen dephases B at every pivot (s, t), a block of pivot rows per
-    broadcast, and keeps the pivots whose sorted entries match A's dephased
-    form. Under a kept pivot, row j of B's form may become row k of A's only
-    if their sorted rows match too. Row permutations sigma with sigma[0] = s
+    broadcast (for d <= 6 one block, which a registry matrix keeps), and
+    keeps the pivots whose sorted entries match A's dephased form. Under a
+    kept pivot, row j of B's form may become row k of A's only if their
+    sorted rows match too. Row permutations sigma with sigma[0] = s
     are walked in lexicographic order through these candidates; each
     complete sigma proposes the columns tau its form matches, so the
     d! x d! candidate space is never materialized. Every stage before the
     final check uses the bound max(1e-7, 2*eps), which never rejects a
-    witness that check accepts; the only acceptance is that the phases
-    fitted to A's first row and column reproduce A within eps entrywise.
+    witness that check accepts; the only acceptance is that the witness
+    reproduces A within eps entrywise. Its phases are fitted to A's first
+    row and column, and, when that fit misses, refitted to every entry.
     Raises SearchTimeoutError if a time budget (seconds) is given and hit;
     its `examined` is the lexicographic rank of the sigma reached. The
     budget must be None, or finite and non-negative (else ValueError).
     """
     if timeout is not None and not 0.0 <= timeout < math.inf:
         raise ValueError(f"timeout must be finite and >= 0 seconds, got {timeout!r}")
-    A = as_matrix(A)
-    B = as_matrix(B)
+    PA, PB = _prepare(A), _prepare(B)
+    A, B = PA.matrix, PB.matrix
     if A.shape != B.shape:
         raise DimensionMismatchError(f"shapes differ: {A.shape} vs {B.shape}")
-    for label, M in (("A", A), ("B", B)):
-        check = _chm_check(M[None], tol)
-        if not check.ok:
-            raise NotCHMError(f"{label} is not a CHM (residual {check.residual:.3g})")
-    return _find_witness(A, B, tol, timeout)
+    for label, P in (("A", PA), ("B", PB)):
+        residual = P.cached(_chm_residual)
+        if residual > tol.eps:
+            raise NotCHMError(f"{label} is not a CHM (residual {residual:.3g})")
 
-
-def _find_witness(A, B, tol: Tolerance, timeout: float | None = None):
-    # are_equivalent's search, for two validated CHMs of one shape.
     d = A.shape[0]
     eps = tol.eps
     atol = max(_PREFILTER_ATOL, 2 * eps)
     deadline = None if timeout is None else time.monotonic() + timeout
 
-    Ad = _dephase(A, tol)
-    sig_a, rows_a = _signature(Ad), _signature(Ad[:, None, :])
+    Ad, sig_a, rows_a = PA.cached(_a_side)
     block = max(1, 1296 // d**3)  # pivot rows per screen; F holds <= max(1296, d**3) entries
-    for s0 in range(0, d, block):
-        S = slice(s0, s0 + block)
-        # F[i, t] is B dephased with row s0 + i and column t as its ones row/column.
-        F = B * (B[S, :, None, None] / (B.T[:, :, None] * B[S, None, None, :]))
-        close = np.abs(_signature(F) - sig_a).max(axis=(-2, -1)) <= atol
+    # A registry matrix keeps its screen, row signatures of every form included,
+    # when one block holds every pivot row (d**4 <= 1296). Any other B is
+    # screened a block at a time, and only the forms the screen keeps are signed.
+    if block >= d and _KEPT.get(id(B)) is PB:
+        screens = [(0, PB.cached(_screen))]
+    else:
+        screens = ((s0, _screen(B, slice(s0, s0 + block), False)) for s0 in range(0, d, block))
+    for s0, (F, sig_f, rows_f) in screens:
+        close = np.abs(sig_f - sig_a).max(axis=(-2, -1)) <= atol
         for i in np.flatnonzero(close.any(axis=1)).tolist():
             ts = np.flatnonzero(close[i]).tolist()
             # match[n, j, k]: under pivot (s0 + i, ts[n]), row j of the form may be
             # row k of Ad. Built `block` pivots at a time to bound memory as F is.
             forms = F[i, ts]
-            rows = _signature(forms[..., None, :])
+            rows = _signature(forms[..., None, :]) if rows_f is None else rows_f[i, ts]
             match = np.concatenate([
                 np.abs(rows[c : c + block, :, None] - rows_a).max(axis=(-2, -1)) <= atol
                 for c in range(0, len(ts), block)
@@ -249,6 +252,20 @@ def _find_witness(A, B, tol: Tolerance, timeout: float | None = None):
                 if witness is not None:
                     return witness
     return None
+
+
+def _a_side(A):
+    # A's dephased form, its signature and its row signatures.
+    Ad = _dephased(A)
+    return Ad, _signature(Ad), _signature(Ad[:, None, :])
+
+
+def _screen(B, S=slice(None), rows=True):
+    # F[i, t] is B dephased with row S[i] and column t as its ones row/column,
+    # with the signature of each form and, if asked, of each of its rows. The
+    # defaults give the whole screen a registry matrix keeps.
+    F = B * (B[S, :, None, None] / (B.T[:, :, None] * B[S, None, None, :]))
+    return F, _signature(F), _signature(F[..., None, :]) if rows else None
 
 
 def _walk(forms, Ad, s, match, atol, deadline):

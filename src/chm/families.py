@@ -3,7 +3,8 @@
 The registry holds the fixture matrices the library's structural claims
 are about (M1, M2 in both cube-root variants, D0) plus two controls from
 the wider catalog (the Fourier matrix F6 and Tao's spectral matrix S6).
-Every entry is validated as a CHM at import time.
+Every entry is validated as a CHM at import time, and keeps one prepared
+object, filled on first use, for the life of the process.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import DEFAULT_TOL, as_matrix, is_chm
+from .core import _KEPT, DEFAULT_TOL, _Prepared, as_matrix, is_chm
 from .errors import DomainError, UnknownNameError
 
 OMEGA_1 = cmath.exp(2j * cmath.pi / 3)  # primitive cube root of unity
@@ -195,6 +196,7 @@ def _build_registry() -> dict[str, RegistryEntry]:
         if not check.ok:
             raise AssertionError(f"registry matrix {name} fails the CHM check: {check}")
         matrix.setflags(write=False)
+        _KEPT[id(matrix)] = _Prepared(matrix)
         registry[name] = RegistryEntry(name=name, matrix=matrix, provenance=provenance)
     return registry
 

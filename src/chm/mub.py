@@ -13,18 +13,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .census import _h2_from_table, _residual_table, _sub_chms_3x3, forbidden_count_check
-from .core import DEFAULT_TOL, Tolerance, as_matrix
-from .equivalence import _PREFILTER_ATOL, _count_real, _find_witness
+from .census import _h2_from_table, _pair_residuals, _residual_table, find_3x3_sub_chms, forbidden_count_check
+from .core import DEFAULT_TOL, Tolerance, _prepare
+from .equivalence import _PREFILTER_ATOL, are_equivalent, count_real_entries
 from .errors import DimensionMismatchError, InvalidMatrixError
 from .families import named
 
-# R3 certificate: a witness W is accepted only if |apply_witness(D0, W) - H| <= eps,
-# so H (entries within eps of modulus 1) lies within 3*eps of an image U of D0 under
-# permutations and unimodular phases, whose 2x2 residuals |ad + bc| are D0's permuted.
-# Each residual of H is within 2*(2*3eps + (3eps)^2) < 13*eps (eps < 1e-3) of U's, and
-# sorting is 1-Lipschitz in the max norm: a larger sorted gap proves H inequivalent.
-_D0_SORTED = np.sort(_residual_table(named("D0").matrix, DEFAULT_TOL), axis=None)
+# D0's kept object: R3 reads its sorted residual table and its pivot screen.
+_D0 = _prepare(named("D0").matrix)
 
 
 @dataclass(frozen=True)
@@ -73,11 +69,7 @@ def mu_pair(F, G, tol: Tolerance = DEFAULT_TOL) -> MuVerdict:
     convention (columns of norm sqrt(d)), where the target modulus is
     sqrt(d) and the pass bound is eps*sqrt(d).
     """
-    return _mu_pair(as_matrix(F), as_matrix(G), tol)
-
-
-def _mu_pair(F, G, tol: Tolerance) -> MuVerdict:
-    # mu_pair on two validated matrices.
+    F, G = _prepare(F).matrix, _prepare(G).matrix
     if F.shape != G.shape:
         raise DimensionMismatchError(f"shapes differ: {F.shape} vs {G.shape}")
     d = F.shape[0]
@@ -88,14 +80,24 @@ def _mu_pair(F, G, tol: Tolerance) -> MuVerdict:
 
 def mu_set(matrices, tol: Tolerance = DEFAULT_TOL) -> MuVerdict:
     """Pairwise mutual unbiasedness of a collection; worst pair reported."""
-    mats = [as_matrix(M) for M in matrices]
+    mats = [_prepare(M) for M in matrices]
     ok = True
     worst = 0.0
     for F, G in itertools.combinations(mats, 2):
-        verdict = _mu_pair(F, G, tol)
+        verdict = mu_pair(F, G, tol)
         ok = ok and verdict.ok
         worst = max(worst, verdict.max_deviation)
     return MuVerdict(ok=ok, max_deviation=worst)
+
+
+def _sorted_table(M) -> np.ndarray:
+    # R3 certificate: a witness W is accepted only if |apply_witness(D0, W) - H| <= eps,
+    # so H (entries within eps of modulus 1) lies within 3*eps of an image U of D0 under
+    # permutations and unimodular phases, whose 2x2 residuals |ad + bc| are D0's permuted.
+    # Each residual of H is within 2*(2*3eps + (3eps)^2) < 13*eps (eps < 1e-3) of U's, and
+    # sorting is 1-Lipschitz in the max norm: a larger gap between the sorted tables of
+    # H and D0 (this, kept on D0's object) proves H inequivalent.
+    return np.sort(_pair_residuals(M)[0], axis=None)
 
 
 def exclusion_report(H, tol: Tolerance = DEFAULT_TOL) -> ExclusionReport:
@@ -111,22 +113,22 @@ def exclusion_report(H, tol: Tolerance = DEFAULT_TOL) -> ExclusionReport:
 
     No trio search is attempted; only these conditions are applied.
     """
-    H = as_matrix(H)
-    table = _residual_table(H, tol)
+    P = _prepare(H)
+    table = _residual_table(P, tol)
 
     hits = []
 
-    n_real = _count_real(H, tol)
+    n_real = count_real_entries(P, tol)
     if n_real > 22:
         hits.append(RuleHit("R1", {"count": n_real}))
 
-    locs = _sub_chms_3x3(H, tol)
+    locs = find_3x3_sub_chms(P, tol)
     if locs:
         hits.append(RuleHit("R2", locs[0].to_obj()))
 
-    # H is validated by its residual table, D0 by the registry at import.
-    if np.abs(np.sort(table, axis=None) - _D0_SORTED).max() <= max(_PREFILTER_ATOL, 13 * tol.eps):
-        witness = _find_witness(H, named("D0").matrix, tol)
+    # H is checked by its residual table, D0 by the registry at import.
+    if np.abs(np.sort(table, axis=None) - _D0.cached(_sorted_table)).max() <= max(_PREFILTER_ATOL, 13 * tol.eps):
+        witness = are_equivalent(P, _D0, tol)
         if witness is not None:
             hits.append(RuleHit("R3", witness.to_obj()))
 

@@ -5,12 +5,17 @@ import numpy as np
 import pytest
 
 import chm.core
+import chm.equivalence
 from chm import (
+    ChmError,
+    EquivalenceWitness,
     InvalidMatrixError,
     NonSquareError,
     Tolerance,
     apply_witness,
+    are_equivalent,
     as_matrix,
+    exclusion_report,
     family_h,
     FamilyPoint,
     gram_residual,
@@ -20,6 +25,7 @@ from chm import (
     matrix_from_obj,
     matrix_to_obj,
     named,
+    registry_names,
 )
 from util import random_witness, rng
 
@@ -162,6 +168,70 @@ def test_public_checks_validate_each_input_once(monkeypatch, check, names):
     assert len(calls) == len(names)
 
 
+def _outcome(check, *args):
+    # A check's result, or the type and message of the error it raised.
+    try:
+        result = check(*args)
+    except ChmError as exc:
+        return type(exc), str(exc)
+    if isinstance(result, EquivalenceWitness):  # compared by its fields, phases bit for bit
+        return (result.row_perm, result.col_perm, result.row_phases.tobytes(), result.col_phases.tobytes())
+    return result
+
+
+def test_registry_objects_give_what_fresh_arrays_give():
+    # A registry array reuses its kept object, filled at whichever tolerance came
+    # first; a writable copy of it gets a fresh object. Both give one result.
+    names = registry_names()
+    for eps in (1e-12, 1e-9, 1e-6):
+        tol = Tolerance(eps)
+        for a in names:
+            A = named(a).matrix
+            assert _outcome(exclusion_report, A, tol) == _outcome(exclusion_report, np.array(A), tol)
+            for b in names:
+                B = named(b).matrix
+                kept = _outcome(are_equivalent, A, B, tol)
+                assert kept == _outcome(are_equivalent, np.array(A), np.array(B), tol)
+    for name in names:
+        M = named(name).matrix
+        assert not M.flags.writeable
+        assert chm.core._prepare(M).matrix is M
+
+
+def test_fresh_arrays_leave_the_registry_objects_alone():
+    names = registry_names()
+    kept = dict(chm.core._KEPT)
+    for name in names:  # fill what these checks keep
+        exclusion_report(named(name).matrix)
+        are_equivalent(named(name).matrix, named("D0").matrix)
+    before = {key: dict(P._cache) for key, P in kept.items()}
+    gen = rng(7)
+    for k in range(100):
+        M = named(names[k % len(names)]).matrix
+        if k % 2:
+            exclusion_report(apply_witness(M, random_witness(gen)))
+        else:
+            are_equivalent(np.array(M), np.array(named("D0").matrix))
+    assert chm.core._KEPT == kept
+    for key, P in kept.items():
+        assert P._cache.keys() == before[key].keys()
+        assert all(P._cache[build] is value for build, value in before[key].items())
+
+
+@pytest.mark.parametrize("d, keeps", [(6, True), (12, False)])
+def test_pivot_screen_is_kept_only_by_a_kept_matrix_as_one_block(monkeypatch, d, keeps):
+    j = np.arange(d)
+    F = np.exp(2j * np.pi * np.outer(j, j) / d)
+    fresh = chm.core._Prepared(F.copy())
+    assert are_equivalent(fresh, fresh) is not None
+    assert chm.equivalence._screen not in fresh._cache
+    F.setflags(write=False)
+    kept = chm.core._Prepared(F)
+    monkeypatch.setitem(chm.core._KEPT, id(F), kept)  # kept as a registry array is
+    assert are_equivalent(F, F) is not None
+    assert (chm.equivalence._screen in kept._cache) is keeps
+
+
 def test_matrix_json_round_trip():
     M = named("M2_w1").matrix
     again = matrix_from_obj(matrix_to_obj(M))
@@ -181,6 +251,8 @@ def test_matrix_json_round_trip():
         {"d": 0, "entries": []},
         "nope",
         {"d": 1, "entries": [[{"re": 0, "im": 10**400}]]},  # an int past float range
+        {"d": 1, "entries": [[{"re": 0, "im": float("nan")}]]},
+        {"d": 1, "entries": [[{"re": 0, "im": -float("inf")}]]},
     ],
 )
 def test_matrix_from_obj_rejects_malformed(obj):

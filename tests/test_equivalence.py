@@ -344,6 +344,25 @@ def test_screen_bound_follows_tol():
         assert np.abs(apply_witness(B, w) - A).max() <= tol.eps
 
 
+@pytest.mark.parametrize("frac, trials", [(0.3, 60), (0.5, 60), (1.0, 20)])
+def test_noisy_witness_images_are_found(frac, trials):
+    # D0 with entrywise phase noise within +-frac*eps against an exact witness
+    # image of D0. Fitted to the first row and column alone, the search missed
+    # 46 of 60 at 0.5*eps and 60 of 60 at 1.0*eps; refitted to every entry, it
+    # misses none at 0.5*eps. A miss at 1.0*eps must be one that no proposal's
+    # 20-round fit brings within eps either.
+    gen = rng(5)
+    D0 = named("D0").matrix
+    for _ in range(trials):
+        A = noisy_image(gen, D0, DEFAULT_TOL.eps, frac)
+        B = apply_witness(D0, random_witness(gen))
+        w = are_equivalent(A, B)
+        if w is not None:
+            assert np.abs(apply_witness(B, w) - A).max() <= DEFAULT_TOL.eps
+        else:
+            assert frac == 1.0 and brute_force_equivalence(A, B, rounds=20) is None
+
+
 def test_only_the_entrywise_check_accepts():
     # straddling_d0(+1): the dephased gap is under eps, so the walk proposes
     # (sigma, tau), but the fitted witness misses A by more than eps.

@@ -10,6 +10,7 @@ from chm import (
     NotCHMError,
     Tolerance,
     apply_witness,
+    are_equivalent,
     census_2x2,
     exclusion_report,
     family_h,
@@ -20,7 +21,6 @@ from chm import (
     mu_set,
     named,
 )
-from chm.equivalence import _find_witness
 from util import noisy_image, random_phases, random_witness, rng
 
 F2 = np.array([[1, 1], [1, -1]], dtype=complex)
@@ -133,18 +133,24 @@ def test_exclusions_d0_self_witness():
 
 def test_exclusion_report_checks_chm_once(monkeypatch):
     calls = []
-    real = chm.core._chm_check  # the CHM check behind is_chm and every internal caller
+    real = chm.core._chm_residual  # the CHM residual behind is_chm and every internal caller
 
     def counting(*args, **kwargs):
         calls.append(args)
         return real(*args, **kwargs)
 
     for module in (chm, chm.core, chm.census, chm.scan, chm.mub, chm.equivalence):
-        if hasattr(module, "_chm_check"):
-            monkeypatch.setattr(module, "_chm_check", counting)
-    report = exclusion_report(named("M1").matrix)
+        if hasattr(module, "_chm_residual"):
+            monkeypatch.setattr(module, "_chm_residual", counting)
+    M1 = named("M1").matrix
+    exclusion_report(M1)  # fills the kept objects of M1 and of D0, which R3 searches
+    calls.clear()
+    report = exclusion_report(np.array(M1))  # a fresh array gets a fresh object
     assert "R3" in [hit.rule_id for hit in report.rules_fired]
     assert len(calls) == 1
+    calls.clear()
+    assert exclusion_report(M1) == report  # the registry's M1 keeps its residual
+    assert calls == []
 
 
 def test_exclusions_require_chm():
@@ -174,7 +180,7 @@ def test_r3_fires_exactly_when_the_search_finds_a_witness(eps):
                 H = noisy_image(gen, apply_witness(named(name).matrix, random_witness(gen)), eps, frac)
                 if not is_chm(H, tol).ok:
                     continue
-                witness = _find_witness(H, D0, tol)
+                witness = are_equivalent(H, D0, tol)
                 fired = {hit.rule_id: hit.evidence for hit in exclusion_report(H, tol).rules_fired}
                 assert ("R3" in fired) == (witness is not None)
                 if witness is not None:
@@ -202,8 +208,8 @@ def _r3_cases():
 @pytest.mark.parametrize("H, searches", _r3_cases())
 def test_r3_searches_only_past_the_residual_certificate(monkeypatch, H, searches):
     calls = []
-    search = chm.mub._find_witness
-    monkeypatch.setattr(chm.mub, "_find_witness", lambda *a: calls.append(1) or search(*a))
+    search = chm.mub.are_equivalent
+    monkeypatch.setattr(chm.mub, "are_equivalent", lambda *a: calls.append(1) or search(*a))
     fired = [hit.rule_id for hit in exclusion_report(H).rules_fired]
     assert len(calls) == searches
     assert ("R3" in fired) == (searches == 1)

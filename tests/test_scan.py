@@ -100,15 +100,15 @@ def test_grid_16_scan_reports_the_origin_and_axis_points():
 
 def test_scan_point_checks_chm_once(monkeypatch):
     calls = []
-    real = chm.core._chm_check  # the CHM check behind is_chm and every internal caller
+    real = chm.core._chm_residual  # the CHM residual behind is_chm and every internal caller
 
     def counting(*args, **kwargs):
         calls.append(args)
         return real(*args, **kwargs)
 
     for module in (chm, chm.core, chm.census, chm.scan, chm.mub, chm.equivalence):
-        if hasattr(module, "_chm_check"):
-            monkeypatch.setattr(module, "_chm_check", counting)
+        if hasattr(module, "_chm_residual"):
+            monkeypatch.setattr(module, "_chm_residual", counting)
     scan_point(1.0, 0.5)
     assert len(calls) == 1
 

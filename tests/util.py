@@ -7,7 +7,6 @@ import numpy as np
 
 from chm import DEFAULT_TOL, EquivalenceWitness, FamilyPoint, H2Structure, Tolerance
 from chm import RealSubmatrixReport, SubmatrixLoc, as_matrix, dephase, is_sub_chm_2x2, named
-from chm.equivalence import _build_witness
 from chm.families import _f
 
 NATURAL_PAIRING = ((1, 2), (3, 4), (5, 6))
@@ -269,13 +268,42 @@ def _complete_columns(ok, t, d):
     return tuple(tau) if extend(1) else None
 
 
-def brute_force_equivalence(A, B, eps=DEFAULT_TOL.eps):
+def fitted_witness(A, B, sigma, tau, eps, rounds=3):
+    """The witness for the proposal (sigma, tau) (0-based), if within eps of A.
+
+    The library's fit, written out again: phases fitted to R = A / B[sigma, tau]
+    by its first row and column, and, if that misses A by more than eps,
+    refitted by `rounds` rounds of rank-1 phase averaging over all of R. The
+    arithmetic is the library's, so a witness compares bit for bit.
+    """
+    Bp = B[np.ix_(sigma, tau)]
+    R = A / Bp
+    rho, gamma = R[:, 0], R[0, :] / R[0, 0]
+    if np.abs(rho[:, None] * Bp * gamma[None, :] - A).max() > eps:
+        for _ in range(rounds):
+            gamma = R.T @ rho.conj()
+            gamma /= np.abs(gamma)
+            rho = R @ gamma.conj()
+            rho /= np.abs(rho)
+        if np.abs(rho[:, None] * Bp * gamma[None, :] - A).max() > eps:
+            return None
+    row_phases = np.empty(len(sigma), dtype=complex)
+    col_phases = np.empty(len(tau), dtype=complex)
+    row_phases[list(sigma)] = rho
+    col_phases[list(tau)] = gamma
+    return EquivalenceWitness(
+        tuple(s + 1 for s in sigma), tuple(t + 1 for t in tau), row_phases, col_phases
+    )
+
+
+def brute_force_equivalence(A, B, eps=DEFAULT_TOL.eps, rounds=3):
     """Lexicographically smallest witness, trying every sigma and pivot column t.
 
     No signature screen and a backtracking column completion. Columns match
     at the library's proposal bound max(1e-7, 2*eps), and a proposal counts
-    only if the library's _build_witness accepts its fit (entrywise within
-    eps), so a found witness compares bit for bit.
+    only if fitted_witness (the library's fit: first row and column, then
+    `rounds` rounds over every entry, three in the library) is within eps of
+    A entrywise.
     """
     A = as_matrix(A)
     B = as_matrix(B)
@@ -289,7 +317,7 @@ def brute_force_equivalence(A, B, eps=DEFAULT_TOL.eps):
             T = Ad * E[:, t][:, None]
             diff = np.abs(E[:, None, :] - T[:, :, None]).max(axis=0)
             tau = _complete_columns(diff <= atol, t, d)
-            witness = None if tau is None else _build_witness(A, B, sigma, tau, eps)
+            witness = None if tau is None else fitted_witness(A, B, sigma, tau, eps, rounds)
             if witness is not None:
                 return witness
     return None
