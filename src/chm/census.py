@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import DEFAULT_TOL, CheckResult, Tolerance, _chm_residual, _prepare, _Prepared
+from .core import DEFAULT_TOL, CheckResult, Tolerance, _chm_residual, _gram_residuals, _prepare, _Prepared
 from .errors import (
     DimensionMismatchError,
     NotCHMError,
@@ -140,7 +140,7 @@ def _residual_table(M, tol: Tolerance) -> np.ndarray:
     shape = P.matrix.shape[-2:]
     if shape != (6, 6):
         raise DimensionMismatchError(f"expected a 6x6 matrix, got {shape}")
-    check = P.cached(_chm_residual)
+    check = P.cached(_chm_residual, _gram_residuals)
     if check > tol.eps:
         raise NotCHMError(f"expected a CHM (residual {check:.3g})")
     residual, worst = P.cached(_pair_residuals)
@@ -183,13 +183,17 @@ def find_3x3_sub_chms(M, tol: Tolerance = DEFAULT_TOL) -> list[SubmatrixLoc]:
     the entrywise row-pair products x * conj(y), must have modulus <= 3*eps
     (three unimodular terms). Such a submatrix is itself a 3x3 CHM.
     """
-    M = _prepare(M).matrix
-    if M.shape != (6, 6):
-        raise DimensionMismatchError(f"expected a 6x6 matrix, got {M.shape}")
+    P = _prepare(M)
+    if P.matrix.shape != (6, 6):
+        raise DimensionMismatchError(f"expected a 6x6 matrix, got {P.matrix.shape}")
+    return [_LOCS_3X3[k] for k in np.flatnonzero(P.cached(_gram_3x3) <= 3 * tol.eps)]
+
+
+def _gram_3x3(M) -> np.ndarray:
+    # [row triple, column triple]: the largest modulus of the three row inner products.
     X = M[_T]  # [row triple, row, column]
     u = X[:, [0, 0, 1]] * X[:, [1, 2, 2]].conj()  # [row triple, row pair, column]
-    worst = np.abs(u[..., _T].sum(-1)).max(axis=1)  # [row triple, column triple]
-    return [_LOCS_3X3[k] for k in np.flatnonzero(worst <= 3 * tol.eps)]
+    return np.abs(u[..., _T].sum(-1)).max(axis=1)
 
 
 def _h2_hits(hit) -> np.ndarray:

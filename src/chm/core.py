@@ -81,9 +81,10 @@ def unimodularity_residual(M) -> float:
     return _unimodularity(_as_stack(M))
 
 
-def _gram_residuals(stack: np.ndarray) -> np.ndarray:
-    # Per member of a validated stack: largest |(M M* - d I)_jk|.
-    d = stack.shape[-1]
+def _gram_residuals(M: np.ndarray) -> np.ndarray:
+    # Per member of a validated matrix or (B, d, d) stack: largest |(M M* - d I)_jk|.
+    d = M.shape[-1]
+    stack = M.reshape(-1, d, d)
     G = stack @ stack.conj().transpose(0, 2, 1)
     G.reshape(len(G), -1)[:, :: d + 1] -= d  # the diagonal, in place: no d * I is built
     return np.abs(G).max(axis=(1, 2))
@@ -102,14 +103,15 @@ def is_chm(M, tol: Tolerance = DEFAULT_TOL) -> CheckResult:
     gram residual / d), keeping ok <=> residual <= eps. On a (B, d, d)
     stack, ok means every member passes; the residual is the worst one's.
     """
-    residual = _chm_residual(_as_stack(M))
+    S = _as_stack(M)
+    residual = _chm_residual(S, _gram_residuals(S))
     return CheckResult(residual <= tol.eps, residual)
 
 
-def _chm_residual(M: np.ndarray) -> float:
-    # is_chm's residual of a validated matrix or (B, d, d) stack: the worst member's.
-    S = M.reshape(-1, *M.shape[-2:])
-    return max(_unimodularity(S), float(_gram_residuals(S).max()) / S.shape[-1])
+def _chm_residual(M: np.ndarray, grams: np.ndarray) -> float:
+    # is_chm's residual of a validated matrix or (B, d, d) stack, given its
+    # per-member Gram residuals: the worst member's.
+    return max(_unimodularity(M), float(grams.max()) / M.shape[-1])
 
 
 # --- prepared matrices --------------------------------------------------------
@@ -118,9 +120,9 @@ def _chm_residual(M: np.ndarray) -> float:
 class _Prepared:
     """A validated d x d matrix, read-only, and the data the checks derive from it.
 
-    cached(build) is build(matrix), computed on first use and kept. No builder
-    takes a tolerance: verdicts compare the kept numbers with the caller's
-    eps, so one object serves every tolerance.
+    cached(build, *uses) is build(matrix, *map(cached, uses)), computed on first
+    use and kept. No builder takes a tolerance: verdicts compare the kept
+    numbers with the caller's eps, so one object serves every tolerance.
     """
 
     __slots__ = ("matrix", "_cache")
@@ -132,9 +134,9 @@ class _Prepared:
         self.matrix = M
         self._cache = {}
 
-    def cached(self, build):
+    def cached(self, build, *uses):
         if build not in self._cache:
-            self._cache[build] = build(self.matrix)
+            self._cache[build] = build(self.matrix, *map(self.cached, uses))
         return self._cache[build]
 
 
@@ -142,15 +144,29 @@ class _Prepared:
 # kept for the life of the process (the arrays live as long).
 _KEPT: dict[int, _Prepared] = {}
 
+# The objects of the last few other inputs with d <= 6, keyed by their bytes (which
+# fix d), oldest first. Each holds a read-only copy: an input changed in place is a new key.
+_RECENT: dict[bytes, _Prepared] = {}
+_RECENT_SIZE = 4
+
 
 def _prepare(M) -> _Prepared:
-    """M itself if already prepared; else as_matrix(M), then the kept object
-    when M is a registry array, or a fresh object."""
+    """M itself if already prepared; else as_matrix(M), then the kept object of a
+    registry array, the recent object of M's content if d <= 6, or a fresh one."""
     if isinstance(M, _Prepared):
         return M
     M = as_matrix(M)
     P = _KEPT.get(id(M))
-    return P if P is not None and P.matrix is M else _Prepared(M)
+    if P is not None and P.matrix is M:
+        return P
+    if M.shape[0] > 6:
+        return _Prepared(M)
+    key = M.tobytes()
+    P = _RECENT.pop(key, None) or _Prepared(np.frombuffer(key, np.complex128).reshape(M.shape))
+    _RECENT[key] = P  # newest last
+    for old in list(_RECENT)[:-_RECENT_SIZE]:  # a snapshot: other threads cannot break the loop
+        _RECENT.pop(old, None)
+    return P
 
 
 # --- JSON wire format -------------------------------------------------------

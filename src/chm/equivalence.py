@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .census import _P, _PAIRS_1, _T, _TRIPLES_1
-from .core import _KEPT, DEFAULT_TOL, Tolerance, _chm_residual, _prepare, as_matrix
+from .core import _KEPT, DEFAULT_TOL, Tolerance, _chm_residual, _gram_residuals, _prepare, as_matrix
 from .errors import (
     DimensionMismatchError,
     NotCHMError,
@@ -217,7 +217,7 @@ def are_equivalent(A, B, tol: Tolerance = DEFAULT_TOL, timeout: float | None = N
     if A.shape != B.shape:
         raise DimensionMismatchError(f"shapes differ: {A.shape} vs {B.shape}")
     for label, P in (("A", PA), ("B", PB)):
-        residual = P.cached(_chm_residual)
+        residual = P.cached(_chm_residual, _gram_residuals)
         if residual > tol.eps:
             raise NotCHMError(f"{label} is not a CHM (residual {residual:.3g})")
 

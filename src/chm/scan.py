@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from .census import _h2_hits, _residual_table, forbidden_count_check
-from .core import DEFAULT_TOL, Tolerance, _gram_residuals
+from .core import DEFAULT_TOL, Tolerance, _gram_residuals, _Prepared
 from .families import _family_stack
 
 CSV_HEADER = "x1,x2,N,gram_residual,h2_found,forbidden"
@@ -72,10 +72,10 @@ def grid_values(grid_n: int) -> list[float]:
 
 def _scan_stack(x1s, x2s, eps: float) -> list[CensusRecord]:
     # Census records for the points (x1s[m], x2s[m]), from one stack.
-    stack = _family_stack(x1s, x2s)
-    hit = _residual_table(stack, Tolerance(eps)) <= eps
+    P = _Prepared(_family_stack(x1s, x2s))
+    hit = _residual_table(P, Tolerance(eps)) <= eps
     counts = np.count_nonzero(hit, axis=(1, 2)).tolist()
-    grams = _gram_residuals(stack).tolist()
+    grams = P.cached(_gram_residuals).tolist()  # kept by the table's CHM check
     h2 = _h2_hits(hit).any(axis=1).tolist()
     return [
         CensusRecord(x1, x2, n, gram, found, not forbidden_count_check(n))

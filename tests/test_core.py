@@ -1,5 +1,7 @@
 import json
 import math
+import sys
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -15,16 +17,23 @@ from chm import (
     apply_witness,
     are_equivalent,
     as_matrix,
+    census_2x2,
+    dephase,
     exclusion_report,
     family_h,
     FamilyPoint,
+    find_3x3_sub_chms,
     gram_residual,
+    h2_block_structure,
     is_chm,
     is_unimodular,
     loads_matrix,
     matrix_from_obj,
     matrix_to_obj,
+    mu_pair,
     named,
+    NotCHMError,
+    real_submatrices_3x2,
     registry_names,
 )
 from util import random_witness, rng
@@ -158,6 +167,7 @@ def test_is_chm_validates_its_input_once(monkeypatch, shape):
     ],
     ids=lambda v: getattr(v, "__name__", None) or "-".join(v),
 )
+@pytest.mark.usefixtures("fresh_recent")
 def test_public_checks_validate_each_input_once(monkeypatch, check, names):
     calls = []
     validate = chm.core._as_stack
@@ -198,6 +208,7 @@ def test_registry_objects_give_what_fresh_arrays_give():
         assert chm.core._prepare(M).matrix is M
 
 
+@pytest.mark.usefixtures("fresh_recent")
 def test_fresh_arrays_leave_the_registry_objects_alone():
     names = registry_names()
     kept = dict(chm.core._KEPT)
@@ -216,6 +227,114 @@ def test_fresh_arrays_leave_the_registry_objects_alone():
     for key, P in kept.items():
         assert P._cache.keys() == before[key].keys()
         assert all(P._cache[build] is value for build, value in before[key].items())
+
+
+@pytest.mark.usefixtures("fresh_recent")
+def test_a_matrix_changed_in_place_gets_no_stale_table():
+    F6 = named("F6").matrix
+    M = np.array(F6)
+    assert census_2x2(M).count == 45
+    M[:] = family_h(FamilyPoint(1.0, 0.5))  # another CHM, in place
+    # What F6's content prepared is built on a copy, not on M's new entries.
+    assert find_3x3_sub_chms(np.array(F6)) == find_3x3_sub_chms(F6) != []
+    fresh = chm.core._Prepared(M.copy())
+    assert census_2x2(M) == census_2x2(fresh)
+    assert census_2x2(M).count == 17
+    assert h2_block_structure(M) == h2_block_structure(fresh)
+    M[2, 3] = -M[2, 3]  # no longer a CHM
+    for check in (census_2x2, h2_block_structure):
+        with pytest.raises(NotCHMError):
+            check(chm.core._Prepared(M.copy()))
+        with pytest.raises(NotCHMError):
+            check(M)
+
+
+@pytest.mark.usefixtures("fresh_recent")
+def test_recent_inputs_are_keyed_by_content():
+    M = family_h(FamilyPoint(1.0, 0.5))
+    P = chm.core._prepare(M)
+    assert chm.core._prepare(M.copy()) is P
+    assert chm.core._prepare(M.tolist()) is P
+    assert not P.matrix.flags.writeable and P.matrix is not M
+    signed = M.copy()
+    signed[0, 0] = complex(1.0, -0.0)  # equal to M[0, 0] == 1 + 0j, not bit for bit
+    assert np.array_equal(signed, M)
+    assert chm.core._prepare(signed) is not P
+
+
+@pytest.mark.usefixtures("fresh_recent")
+def test_recent_inputs_are_few_and_small():
+    gen = rng(11)
+    for k in range(100):
+        census_2x2(apply_witness(named("D0").matrix, random_witness(gen)))
+        assert len(chm.core._RECENT) <= 4
+    j = np.arange(12)
+    F12 = np.exp(2j * np.pi * np.outer(j, j) / 12)
+    assert chm.core._prepare(F12) is not chm.core._prepare(F12)
+    assert is_chm(F12).ok and are_equivalent(F12, F12) is not None
+    assert all(P.matrix.shape == (6, 6) for P in chm.core._RECENT.values())
+    assert len(chm.core._RECENT) <= 4
+
+
+@pytest.mark.usefixtures("fresh_recent")
+def test_the_seven_matrix_checks_build_each_table_once(monkeypatch):
+    # One input through the checks of a benchmark request (bench/worker.py,
+    # check_matrix), with registry partners for mu_pair and are_equivalent.
+    F6, D0 = named("F6").matrix, named("D0").matrix
+    calls = {}
+
+    def counting(name, real):
+        def build(*args):
+            calls[name] = calls.get(name, 0) + 1
+            return real(*args)
+        return build
+
+    for name, home in (("_chm_residual", chm.core), ("_pair_residuals", chm.census), ("_gram_3x3", chm.census)):
+        wrapper = counting(name, getattr(home, name))  # one per builder: builders key what is kept
+        for module in (chm, chm.core, chm.census, chm.equivalence, chm.mub, chm.scan):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, wrapper)
+    exclusion_report(D0)  # fills D0's kept object under the wrapped builders
+    calls.clear()
+    M = family_h(FamilyPoint(1.0, 0.5))
+    census_2x2(M)
+    h2_block_structure(M)
+    find_3x3_sub_chms(M)
+    real_submatrices_3x2(M)
+    exclusion_report(M)
+    mu_pair(M, F6)
+    are_equivalent(M, D0)
+    assert calls == {"_chm_residual": 1, "_pair_residuals": 1, "_gram_3x3": 1}
+
+
+def test_public_outputs_of_a_writable_input_stay_writable():
+    M = family_h(FamilyPoint(1.0, 0.5))
+    census_2x2(M)
+    find_3x3_sub_chms(M)
+    assert M.flags.writeable
+    assert as_matrix(M) is M
+    assert dephase(M).flags.writeable
+    assert apply_witness(M, random_witness(rng(3))).flags.writeable
+    assert matrix_from_obj(matrix_to_obj(M)).flags.writeable
+    assert isinstance(matrix_to_obj(M)["entries"][0], list)
+
+
+@pytest.mark.usefixtures("fresh_recent")
+def test_threads_preparing_at_once_agree_with_one_thread():
+    gen = rng(13)
+    inputs = [apply_witness(named(n).matrix, random_witness(gen)) for n in registry_names() for _ in range(9)][:50]
+    serial = [census_2x2(M) for M in inputs]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # switch threads as often as possible
+    try:
+        for _ in range(3):
+            chm.core._RECENT.clear()
+            with ThreadPoolExecutor(max_workers=4) as pool:
+                futures = [pool.submit(census_2x2, M) for M in inputs]
+                assert [f.result(timeout=60) for f in futures] == serial
+            assert len(chm.core._RECENT) <= 4
+    finally:
+        sys.setswitchinterval(interval)
 
 
 @pytest.mark.parametrize("d, keeps", [(6, True), (12, False)])

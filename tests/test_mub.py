@@ -131,6 +131,7 @@ def test_exclusions_d0_self_witness():
     assert [hit.rule_id for hit in report.rules_fired] == ["R3"]
 
 
+@pytest.mark.usefixtures("fresh_recent")
 def test_exclusion_report_checks_chm_once(monkeypatch):
     calls = []
     real = chm.core._chm_residual  # the CHM residual behind is_chm and every internal caller
@@ -145,7 +146,7 @@ def test_exclusion_report_checks_chm_once(monkeypatch):
     M1 = named("M1").matrix
     exclusion_report(M1)  # fills the kept objects of M1 and of D0, which R3 searches
     calls.clear()
-    report = exclusion_report(np.array(M1))  # a fresh array gets a fresh object
+    report = exclusion_report(np.array(M1))  # a copy gets its own object, not the registry's
     assert "R3" in [hit.rule_id for hit in report.rules_fired]
     assert len(calls) == 1
     calls.clear()

@@ -98,6 +98,7 @@ def test_grid_16_scan_reports_the_origin_and_axis_points():
     assert summary["maxN"] == 75
 
 
+@pytest.mark.usefixtures("fresh_recent")
 def test_scan_point_checks_chm_once(monkeypatch):
     calls = []
     real = chm.core._chm_residual  # the CHM residual behind is_chm and every internal caller
@@ -111,6 +112,22 @@ def test_scan_point_checks_chm_once(monkeypatch):
             monkeypatch.setattr(module, "_chm_residual", counting)
     scan_point(1.0, 0.5)
     assert len(calls) == 1
+
+
+def test_scan_computes_gram_residuals_once_per_chunk(monkeypatch):
+    calls = []
+    real = chm.core._gram_residuals
+
+    def counting(M):
+        calls.append(len(M))
+        return real(M)
+
+    for module in (chm.core, chm.census, chm.scan, chm.equivalence):
+        if hasattr(module, "_gram_residuals"):
+            monkeypatch.setattr(module, "_gram_residuals", counting)
+    records, _ = run_scan(ScanConfig(grid_n=16, out_path="unused"))
+    assert calls == [32] * 8
+    assert [r.gram_residual for r in records[:32]] == real(_family_stack(*zip(*[(r.x1, r.x2) for r in records[:32]]))).tolist()
 
 
 def test_residual_table_rejects_a_stack_with_one_non_chm_member():
