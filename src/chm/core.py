@@ -151,18 +151,26 @@ _RECENT_SIZE = 4
 
 
 def _prepare(M) -> _Prepared:
-    """M itself if already prepared; else as_matrix(M), then the kept object of a
-    registry array, the recent object of M's content if d <= 6, or a fresh one."""
+    """M itself if already prepared; else the kept object of a registry array, the
+    recent object of M's content if d <= 6, or a fresh one. Only a new input is
+    validated (as_matrix): an exact complex128 d x d array, not from the registry,
+    whose bytes are a recent key was validated when that key was made."""
     if isinstance(M, _Prepared):
         return M
-    M = as_matrix(M)
-    P = _KEPT.get(id(M))
-    if P is not None and P.matrix is M:
-        return P
-    if M.shape[0] > 6:
-        return _Prepared(M)
-    key = M.tobytes()
-    P = _RECENT.pop(key, None) or _Prepared(np.frombuffer(key, np.complex128).reshape(M.shape))
+    P = None
+    if (type(M) is np.ndarray and M.dtype == np.complex128 and M.ndim == 2
+            and M.shape[0] == M.shape[1] <= 6 and id(M) not in _KEPT):
+        key = M.tobytes()
+        P = _RECENT.pop(key, None)
+    if P is None:
+        M = as_matrix(M)
+        P = _KEPT.get(id(M))
+        if P is not None and P.matrix is M:
+            return P
+        if M.shape[0] > 6:
+            return _Prepared(M)
+        key = M.tobytes()
+        P = _RECENT.pop(key, None) or _Prepared(np.frombuffer(key, np.complex128).reshape(M.shape))
     _RECENT[key] = P  # newest last
     for old in list(_RECENT)[:-_RECENT_SIZE]:  # a snapshot: other threads cannot break the loop
         _RECENT.pop(old, None)
@@ -199,13 +207,24 @@ def matrix_from_obj(obj) -> np.ndarray:
     rows = obj["entries"]
     if not isinstance(rows, list) or len(rows) != d:
         raise NonSquareError(f"expected {d} rows, got {len(rows) if isinstance(rows, list) else 'non-list'}")
-    out = np.empty((d, d), dtype=np.complex128)
+    if all(isinstance(row, list) and len(row) == d for row in rows):
+        # Whole-matrix steps: every component, then one type test and one finiteness test.
+        try:
+            parts = [x for row in rows for e in row if type(e) is dict and len(e) == 2 for x in (e["re"], e["im"])]
+            if len(parts) == 2 * d * d and set(map(type, parts)) <= {int, float}:
+                out = np.array(parts, dtype=np.float64)  # an int past float range overflows
+                if np.isfinite(out).all():
+                    return out.view(np.complex128).reshape(d, d)
+        except (KeyError, OverflowError):
+            pass
+    # Entry by entry, naming the first fault in row-major order; nothing of size
+    # d * d is allocated before the rows hold that many entries.
+    entries = []
     for j, row in enumerate(rows):
         if not isinstance(row, list) or len(row) != d:
             raise NonSquareError(f"row {j + 1} does not have {d} entries")
-        for k, e in enumerate(row):
-            out[j, k] = _entry_from_obj(e)
-    return out
+        entries.extend(map(_entry_from_obj, row))
+    return np.array(entries, dtype=np.complex128).reshape(d, d)
 
 
 def matrix_to_obj(M) -> dict:

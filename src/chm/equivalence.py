@@ -131,7 +131,7 @@ def real_submatrices_3x2(M, tol: Tolerance = DEFAULT_TOL) -> list[RealSubmatrixR
     Rank is decided by 2x2 minors: any minor with |value| > eps
     certifies rank two, otherwise the columns are proportional (rank one).
     """
-    M = as_matrix(M)
+    M = _prepare(M).matrix
     if M.shape != (6, 6):
         raise DimensionMismatchError(f"expected a 6x6 matrix, got {M.shape}")
     real = (np.abs(M.imag) <= tol.eps)[:, _P].all(axis=2)  # [row, col pair]

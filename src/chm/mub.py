@@ -69,11 +69,11 @@ def mu_pair(F, G, tol: Tolerance = DEFAULT_TOL) -> MuVerdict:
     convention (columns of norm sqrt(d)), where the target modulus is
     sqrt(d) and the pass bound is eps*sqrt(d).
     """
-    F, G = _prepare(F).matrix, _prepare(G).matrix
-    if F.shape != G.shape:
-        raise DimensionMismatchError(f"shapes differ: {F.shape} vs {G.shape}")
-    d = F.shape[0]
-    gram = _unit_columns(F).conj().T @ _unit_columns(G)
+    F, G = _prepare(F), _prepare(G)
+    if F.matrix.shape != G.matrix.shape:
+        raise DimensionMismatchError(f"shapes differ: {F.matrix.shape} vs {G.matrix.shape}")
+    d = F.matrix.shape[0]
+    gram = F.cached(_unit_columns).conj().T @ G.cached(_unit_columns)
     deviation = d * float(np.abs(np.abs(gram) - 1.0 / math.sqrt(d)).max())
     return MuVerdict(ok=deviation <= tol.eps * math.sqrt(d), max_deviation=deviation)
 

@@ -89,8 +89,9 @@ def test_census_malformed_json(capsys, tmp_path):
     [
         '{"d": 1, "entries": [[{"re": 1' + "0" * 400 + ', "im": 0}]]}',
         "[" * 200_000 + "]" * 200_000,
+        '{"d": 1000000, "entries": [' + ", ".join(["[]"] * 10**6) + "]}",  # d rows, each empty
     ],
-    ids=["huge-int", "deep"],
+    ids=["huge-int", "deep", "huge-d"],
 )
 def test_malformed_matrix_file_is_invalid_input(capsys, tmp_path, text):
     path = tmp_path / "bad.json"

@@ -1,6 +1,8 @@
 import json
 import math
 import sys
+import warnings
+from collections import OrderedDict
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -36,7 +38,7 @@ from chm import (
     real_submatrices_3x2,
     registry_names,
 )
-from util import random_witness, rng
+from util import matrix_from_obj_oracle, random_point, random_unimodular, random_witness, rng
 
 OMEGA = np.exp(2j * np.pi / 3)
 
@@ -305,6 +307,142 @@ def test_the_seven_matrix_checks_build_each_table_once(monkeypatch):
     mu_pair(M, F6)
     are_equivalent(M, D0)
     assert calls == {"_chm_residual": 1, "_pair_residuals": 1, "_gram_3x3": 1}
+
+
+@pytest.mark.usefixtures("fresh_recent")
+def test_the_seven_matrix_checks_validate_a_fresh_input_once(monkeypatch):
+    # Each of the checks prepares M again; after the first, M's bytes are a
+    # recent key and its object comes back with no new validation.
+    F6, D0 = named("F6").matrix, named("D0").matrix
+    M = family_h(FamilyPoint(1.0, 0.5))
+    seen = []
+    validate = chm.core._as_stack
+    for module in (chm, chm.core, chm.census, chm.equivalence, chm.mub, chm.scan):
+        if hasattr(module, "_as_stack"):
+            monkeypatch.setattr(module, "_as_stack", lambda m: seen.append(np.asarray(m).tobytes()) or validate(m))
+    census_2x2(M)
+    h2_block_structure(M)
+    find_3x3_sub_chms(M)
+    real_submatrices_3x2(M)
+    exclusion_report(M)
+    mu_pair(M, F6)
+    are_equivalent(M, D0)
+    assert [seen.count(A.tobytes()) for A in (M, F6, D0)] == [1, 1, 1]
+    assert len(seen) == 3
+
+
+@pytest.mark.usefixtures("fresh_recent")
+def test_a_content_hit_keeps_the_shape_guard_and_the_order():
+    # D0's entries are +-1 and +-i, so a signed image of it survives complex64.
+    M = apply_witness(named("D0").matrix, random_witness(rng(5), signs_only=True))
+    P = chm.core._prepare(M)
+    assert chm.core._prepare(M) is P
+    for bad in (M.reshape(4, 9), M.reshape(1, 36), M.ravel()):
+        with pytest.raises(NonSquareError):
+            chm.core._prepare(bad)
+        with pytest.raises(NonSquareError):
+            census_2x2(bad)
+    with warnings.catch_warnings():  # numpy's matrix subclass warns that it is deprecated
+        warnings.simplefilter("ignore", PendingDeprecationWarning)
+        wrapped = np.asmatrix(M)
+    for same in (M.astype(np.complex64), wrapped):
+        assert chm.core._prepare(same) is P
+        assert census_2x2(same) == census_2x2(M)
+    others = [family_h(random_point(rng(k))) for k in range(4)]
+    for other in others[:3]:
+        chm.core._prepare(other)
+    assert chm.core._prepare(M) is P  # a hit makes M the newest again
+    chm.core._prepare(others[3])  # evicts the oldest, others[0], not M
+    assert list(chm.core._RECENT) == [X.tobytes() for X in (others[1], others[2], M, others[3])]
+
+
+def _parsed(parse, obj):
+    # The parsed matrix's dtype, shape, writability and bytes, or the error's type and message.
+    try:
+        M = parse(obj)
+    except InvalidMatrixError as exc:
+        return type(exc), str(exc)
+    return M.dtype, M.shape, M.flags.writeable, M.tobytes()
+
+
+def _obj_of(parts):
+    # The JSON object form of a square table of (re, im) component pairs.
+    return {"d": len(parts), "entries": [[{"re": re, "im": im} for re, im in row] for row in parts]}
+
+
+def _well_formed_objs():
+    gen = rng(17)
+    mats = [named(n).matrix for n in registry_names()]
+    mats += [family_h(random_point(gen)) for _ in range(4)]
+    mats += [apply_witness(named(n).matrix, random_witness(gen)) for n in registry_names()]
+    mats += [random_unimodular(gen, d) for d in (1, 2, 6, 7, 12)]
+    objs = [matrix_to_obj(M) for M in mats]
+    ints = [0, 1, -1, 7, 2**53 - 1, 2**53, 2**53 + 1, -(2**53 + 3), 2**63 + 1, 10**300, -(10**300)]
+    comps = ints + [0.5, -0.0, 0.0, 1e-320, -1.7976931348623157e308]
+    n = len(comps)
+    for d in (1, 2, 6, 7, 12):
+        pairs = [(comps[(3 * k + d) % n], comps[(5 * k + 1) % n]) for k in range(d * d)]
+        objs.append(_obj_of([pairs[d * j : d * (j + 1)] for j in range(d)]))
+        objs.append(_obj_of([[(-0.0, -0.0)] * d] * d))
+        objs.append(_obj_of([[(np.float64(x), -x) for x in np.linspace(-1, 1, d)]] * d))  # via the Python API
+    objs.append({"d": 1, "entries": [[OrderedDict(re=1.0, im=-0.0)]]})  # a dict subclass, via the Python API
+    return objs
+
+
+def test_matrix_from_obj_matches_the_per_entry_oracle_bit_for_bit():
+    objs = _well_formed_objs()
+    for obj in objs:
+        expected = _parsed(matrix_from_obj_oracle, obj)
+        assert expected[0] == np.complex128
+        assert _parsed(matrix_from_obj, obj) == expected
+    assert {obj["d"] for obj in objs} >= {1, 2, 6, 7, 12}
+
+
+_ENTRY_FAULTS = {
+    "list": lambda e: [e["re"], e["im"]],
+    "missing-im": lambda e: {"re": e["re"]},
+    "renamed-key": lambda e: {"re": e["re"], "imag": e["im"]},
+    "extra-key": lambda e: {**e, "x": 0},
+    "bool": lambda e: {**e, "re": True},
+    "string": lambda e: {**e, "im": "0"},
+    "numpy-int": lambda e: {**e, "re": np.int64(1)},
+    "nan": lambda e: {**e, "im": math.nan},
+    "inf": lambda e: {**e, "re": -math.inf},
+    "huge-int": lambda e: {**e, "im": 10**400},
+}
+_ROW_FAULTS = {
+    "short-row": lambda row: row[:-1],
+    "long-row": lambda row: row + row[:1],
+    "tuple-row": tuple,
+}
+_FAULTS = [*_ENTRY_FAULTS, *_ROW_FAULTS]
+_PLACES = [(0, 0), (2, 3), (5, 5)]  # the first, a middle and the last entry of a 6x6
+
+
+def _with_faults(obj, *faults):
+    rows = [list(row) for row in obj["entries"]]
+    for kind, (j, k) in faults:
+        if kind in _ROW_FAULTS:
+            rows[j] = _ROW_FAULTS[kind](rows[j])
+        else:
+            rows[j][k] = _ENTRY_FAULTS[kind](rows[j][k])
+    return {**obj, "entries": rows}
+
+
+@pytest.mark.parametrize("kind", _FAULTS)
+def test_matrix_from_obj_names_the_oracles_fault(kind):
+    base = matrix_to_obj(named("M1").matrix)
+    for place in _PLACES:
+        obj = _with_faults(base, (kind, place))
+        expected = _parsed(matrix_from_obj_oracle, obj)
+        assert issubclass(expected[0], InvalidMatrixError)
+        assert _parsed(matrix_from_obj, obj) == expected
+    for other in _FAULTS:  # two faults of different kinds, in either order
+        if other == kind:
+            continue
+        for first, second in ((_PLACES[0], _PLACES[1]), (_PLACES[1], _PLACES[2]), (_PLACES[2], _PLACES[0])):
+            obj = _with_faults(base, (kind, first), (other, second))
+            assert _parsed(matrix_from_obj, obj) == _parsed(matrix_from_obj_oracle, obj)
 
 
 def test_public_outputs_of_a_writable_input_stay_writable():

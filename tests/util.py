@@ -2,11 +2,13 @@
 
 import cmath
 import itertools
+import math
 
 import numpy as np
 
 from chm import DEFAULT_TOL, EquivalenceWitness, FamilyPoint, H2Structure, Tolerance
 from chm import RealSubmatrixReport, SubmatrixLoc, as_matrix, dephase, is_sub_chm_2x2, named
+from chm.errors import InvalidMatrixError, NonSquareError
 from chm.families import _f
 
 NATURAL_PAIRING = ((1, 2), (3, 4), (5, 6))
@@ -321,3 +323,34 @@ def brute_force_equivalence(A, B, eps=DEFAULT_TOL.eps, rounds=3):
             if witness is not None:
                 return witness
     return None
+
+
+def matrix_from_obj_oracle(obj):
+    """The JSON object form of a matrix parsed entry by entry, each entry checked
+    and stored alone; raises for the first fault in row-major order."""
+    if not isinstance(obj, dict) or "d" not in obj or "entries" not in obj:
+        raise InvalidMatrixError("matrix object must have d and entries")
+    d = obj["d"]
+    if not isinstance(d, int) or isinstance(d, bool) or d < 1:
+        raise InvalidMatrixError("d must be a positive integer")
+    rows = obj["entries"]
+    if not isinstance(rows, list) or len(rows) != d:
+        raise NonSquareError(f"expected {d} rows, got {len(rows) if isinstance(rows, list) else 'non-list'}")
+    out = np.empty((d, d), dtype=np.complex128)
+    for j, row in enumerate(rows):
+        if not isinstance(row, list) or len(row) != d:
+            raise NonSquareError(f"row {j + 1} does not have {d} entries")
+        for k, e in enumerate(row):
+            if not isinstance(e, dict) or set(e) != {"re", "im"}:
+                raise InvalidMatrixError("matrix entry must be an object with re/im")
+            re, im = e["re"], e["im"]
+            if not all(isinstance(x, (int, float)) and not isinstance(x, bool) for x in (re, im)):
+                raise InvalidMatrixError("matrix entry components must be numbers")
+            try:
+                z = complex(float(re), float(im))
+            except OverflowError:
+                z = complex(math.inf)
+            if not cmath.isfinite(z):
+                raise InvalidMatrixError("matrix entry components must be finite")
+            out[j, k] = z
+    return out
