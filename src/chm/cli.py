@@ -159,7 +159,54 @@ _COMMANDS = (
       ("--format", {"choices": ["csv", "json"], "default": "csv"}), _TOL),
      _cmd_scan),
 )
-_COMMAND_NAMES = frozenset(command[0] for command in _COMMANDS)
+
+
+def _convert(spec, text):
+    # argparse's conversion and choices check of one argument; TypeError or
+    # ValueError where argparse reports an error.
+    value = spec.get("type", str)(text)
+    if value not in spec.get("choices", (value,)):
+        raise ValueError(text)
+    return value
+
+
+def _read_plain(argv):
+    """The namespace argparse gives a plain argv, read from _COMMANDS, or None.
+
+    Plain: a command name, then its exact option names each followed by one
+    value that does not start with "-", and as many positionals as it takes,
+    in any order. Anything else (help, usage errors, --opt=value, abbreviated
+    options, "--", dash-leading values) returns None, for argparse to handle.
+    """
+    command = next((c for c in _COMMANDS if argv and argv[0] == c[0]), None)
+    if command is None or not all(isinstance(token, str) for token in argv):
+        return None
+    name, _, arguments, handler = command
+    specs = dict(arguments)
+    values = {"command": name, "func": handler}
+    values.update((arg.lstrip("-"), spec.get("default")) for arg, spec in arguments)
+    pending = [arg for arg in specs if not arg.startswith("-")]  # positionals, in order
+    seen = set()
+    tokens = iter(argv[1:])
+    try:
+        for token in tokens:
+            if not token.startswith("-"):
+                if not pending:
+                    return None
+                arg, text = pending.pop(0), token
+            else:
+                arg, text = token, next(tokens, "-")
+                if arg not in specs or text.startswith("-"):
+                    return None
+            values[arg.lstrip("-")] = _convert(specs[arg], text)
+            seen.add(arg)
+    except (TypeError, ValueError):
+        return None
+    if any(specs[arg].get("nargs") != "?" for arg in pending) or any(
+        spec.get("required") and arg not in seen for arg, spec in arguments
+    ):
+        return None
+    return argparse.Namespace(**values)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -169,31 +216,28 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_INVALID, f"{self.prog}: error: {message}\n")
 
 
-def build_parser(only=None) -> argparse.ArgumentParser:
-    """The chm parser; with `only`, the top level and that command's subparser."""
+def build_parser() -> argparse.ArgumentParser:
+    """The chm parser, with every command's subparser."""
     parser = _Parser(
         prog="chm",
         description="Structure checks and censuses for 6x6 complex Hadamard matrices.",
     )
-    if only is not None:
-        # A top-level usage error lists every command, as the full parser does.
-        parser.error = lambda message: build_parser().error(message)
     sub = parser.add_subparsers(dest="command", required=True)
     for name, help_text, arguments, handler in _COMMANDS:
-        if only in (None, name):
-            p = sub.add_parser(name, help=help_text)
-            for arg, options in arguments:
-                p.add_argument(arg, **options)
-            p.set_defaults(func=handler)
+        p = sub.add_parser(name, help=help_text)
+        for arg, options in arguments:
+            p.add_argument(arg, **options)
+        p.set_defaults(func=handler)
     return parser
 
 
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
-    # Build only the invoked command's subparser; help, no command and an
-    # unknown command get the full parser.
-    only = argv[0] if argv and argv[0] in _COMMAND_NAMES else None
-    args = build_parser(only).parse_args(argv)
+    # A plain invocation needs no parser; argparse handles help, usage errors
+    # and every other form.
+    args = _read_plain(argv)
+    if args is None:
+        args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except UnknownNameError as exc:

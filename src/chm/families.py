@@ -61,13 +61,25 @@ def f_factor(x1: float, x2: float) -> complex:
 
 
 def _f(a: float, b: float) -> complex:
-    # f_factor's right side, unguarded. In the family w nears 0 only for f2
-    # and f4 at the corner x1 = x2 = pi/2, where cos(pi/2) is 6.1e-17, not 0,
-    # in double precision: w/|w| stays defined and the value is ~ 3e-17 + 1j.
+    # f_factor's right side, unguarded.
+    e, u, k = _f_parts(a, b)
+    return e * u * k
+
+
+def _f_parts(a: float, b: float) -> tuple[complex, complex, complex]:
+    # The factors (e, u, k) = (e^{i(a+b)/2}, w/|w|, |w|/2 + i sqrt(1 - |w|^2/4))
+    # of _f(a, b) = e * u * k. Negating both arguments negates (a+b)/2 and
+    # (a-b)/2 exactly; cos is even and sin odd, so _f(-a, -b) is
+    # conj(e) * conj(u) * k, bit for bit, with no trig of its own.
+    # In the family |w|^2 = 1 +- sin x1 sin x2. It vanishes for f2 and f4 at
+    # (x1, x2) = (+-pi/2, +-pi/2) and for f1 and f3 at (-+pi/2, +-pi/2). Only
+    # (pi/2, pi/2) lies in the domain; the other three corners are on its open
+    # edge. At (pi/2, pi/2) cos(pi/2) is 6.1e-17, not 0, in double precision:
+    # w/|w| stays defined and f2, f4 come out ~ 3e-17 + 1j.
     s = 0.5 * (a + b)
     w = complex(math.cos(0.5 * (a - b)), -math.sin(s))
     r = abs(w)
-    return cmath.exp(1j * s) * (w / r) * complex(0.5 * r, math.sqrt(1.0 - 0.25 * r * r))
+    return cmath.exp(1j * s), w / r, complex(0.5 * r, math.sqrt(1.0 - 0.25 * r * r))
 
 
 def f_factor_alt(x1: float, x2: float) -> complex:
@@ -97,10 +109,11 @@ def family_h(point: FamilyPoint) -> np.ndarray:
     x1, x2 = point.x1, point.x2
     z1 = cmath.exp(1j * x1)
     z2 = cmath.exp(1j * x2)
-    f1 = _f(x1, x2)
-    f2 = _f(x1, -x2)
-    f3 = _f(-x1, -x2)
-    f4 = _f(-x1, x2)
+    # f3 = _f(-x1, -x2) and f4 = _f(-x1, x2) from the factors of f1 and f2.
+    e, u, k = _f_parts(x1, x2)
+    f1, f3 = e * u * k, e.conjugate() * u.conjugate() * k
+    e, u, k = _f_parts(x1, -x2)
+    f2, f4 = e * u * k, e.conjugate() * u.conjugate() * k
     f1c, f2c, f3c, f4c = (f.conjugate() for f in (f1, f2, f3, f4))
     # One flat tuple, row by row: numpy converts it faster than nested lists.
     entries = (

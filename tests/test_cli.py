@@ -123,6 +123,17 @@ def test_bad_tol_rejected(capsys):
     assert "eps" in err
 
 
+def test_tol_below_the_floor_is_rejected(capsys, tmp_path):
+    # At 1e-15 float64 rounding splits exact zeros: F6 would count 29, not 45,
+    # and a grid-64 scan would report forbidden counts.
+    out_path = tmp_path / "s.csv"
+    code, out, err = run(capsys, "scan", "--grid", "4", "--out", str(out_path), "--tol", "1e-15")
+    assert (code, out) == (3, "") and "eps" in err
+    assert not out_path.exists()
+    code, out, _ = run(capsys, "census", "F6", "--tol", "1e-14")
+    assert code == 0 and json.loads(out)["count"] == 45
+
+
 def test_census3(capsys):
     code, out, _ = run(capsys, "census3", "M2_w1")
     assert code == 0

@@ -7,6 +7,7 @@ COLUMNS=80 fixes argparse's line wrapping.
 """
 
 import hashlib
+import itertools
 import sys
 
 import pytest
@@ -182,9 +183,10 @@ def _count_parsers(monkeypatch):
 
 
 def test_a_command_builds_only_its_own_subparser(capsys, monkeypatch):
+    # A plain invocation is read from the command table: no parser at all.
     built = _count_parsers(monkeypatch)
     assert main(["census", "M1"]) == 0
-    assert built == ["chm", "chm census"]
+    assert built == []
 
 
 def test_top_level_help_builds_every_subparser(capsys, monkeypatch):
@@ -205,3 +207,70 @@ def test_console_script_reads_sys_argv(capsys, monkeypatch):
         main()
     assert exc.value.code == 3
     assert capsys.readouterr().err == USAGE_ERRORS[0][1]
+
+
+# --- the plain-argv reader against argparse -----------------------------------
+
+# A valid value per argument, and values argparse rejects or reads as options.
+_VALID = {"--grid": "4", "--out": "s.csv", "--format": "json", "--tol": "1e-6",
+          "--timeout": "5", "action": "list"}
+_BAD = ["x", "-1", "-1e-9", "--tol", "-", "", "xml", "1e-6 ", "nan"]
+
+
+def _units(arguments):
+    # One unit of tokens per argument: a positional's value or [option, value].
+    return [[option, _VALID.get(option, "M1")] if option.startswith("-")
+            else [_VALID.get(option, f"{option.upper()}1")] for option, _ in arguments]
+
+
+def _argv_corpus():
+    """Plain argvs (every command, its arguments in every order), then forms
+    argparse must handle: repeats, =, abbreviations, --, help, dash-leading
+    values, extra or missing positionals, bad values, unknown commands."""
+    plain, other = [], [[], ["-h"], ["--help"], ["bogus"], ["cen", "M1"], ["census3"], ["--tol"]]
+    for name, _, arguments, _ in cli._COMMANDS:
+        units = _units(arguments)
+        for order in itertools.permutations(units):
+            plain.append([name] + [token for unit in order for token in unit])
+        base = [name] + [token for unit in units for token in unit]
+        plain += [base[:k] for k in range(1, len(base) + 1) if base[:k] != base]  # truncations
+        for i, unit in enumerate(units):
+            rest = [token for u in units[:i] + units[i + 1:] for token in u]
+            other += [[name] + rest, [name] + rest + unit + unit, [name] + unit + rest + ["extra"],
+                      [name, "--"] + rest + unit, [name] + rest + unit + ["-h"]]
+            if unit[0].startswith("-"):
+                other += [[name] + rest + [f"{unit[0]}={unit[1]}"], [name] + rest + [unit[0][:-1], unit[1]],
+                          [name] + rest + [unit[0][:4], unit[1]], [name] + rest + [unit[0]],
+                          [name] + rest + unit + [unit[0], "1e-7"]]
+            other += [[name] + rest + unit[:-1] + [bad] for bad in _BAD]
+    return plain, other
+
+
+def _fields(namespace):
+    # By repr, so that a nan value equals itself.
+    return {key: repr(value) for key, value in vars(namespace).items()}
+
+
+def test_plain_argv_reader_matches_argparse(capsys):
+    parser = cli.build_parser()
+    plain, other = _argv_corpus()
+    read = 0
+    for argv in plain + other:
+        try:
+            expected = _fields(parser.parse_args(argv))
+        except SystemExit:
+            expected = None
+        capsys.readouterr()
+        got = cli._read_plain(argv)
+        assert got is None or _fields(got) == expected, argv
+        read += got is not None
+        if argv in plain and expected is not None:
+            assert got is not None, argv
+    assert read > 100 and len(plain + other) > 500
+
+
+def test_the_argparse_forms_of_a_scan_write_the_same_bytes(capsys, tmp_path):
+    a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+    assert main(["scan", "--grid", "4", "--out", str(a)]) == 0
+    assert main(["scan", "--grid=4", f"--out={b}", "--form", "csv"]) == 0
+    assert a.read_bytes() == b.read_bytes()

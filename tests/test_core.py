@@ -111,7 +111,7 @@ def test_tolerance_monotonicity():
     assert verdicts[-1]
 
 
-@pytest.mark.parametrize("eps", [0.0, -1e-9, 1e-3, 0.5])
+@pytest.mark.parametrize("eps", [0.0, -1e-9, 1e-3, 0.5, 1e-15])
 def test_tolerance_bounds(eps):
     with pytest.raises(ValueError):
         Tolerance(eps)

@@ -34,8 +34,8 @@ from util import (
     zeta_exponents,
 )
 
-EPS_VALUES = (1e-12, 1e-9, 1e-6, 1e-4)
-LARGEST_EPS = 1e-3  # Tolerance admits eps in (0, 1e-3)
+EPS_VALUES = (1e-14, 1e-12, 1e-9, 1e-6, 1e-4)
+LARGEST_EPS = 1e-3  # Tolerance admits eps in [1e-14, 1e-3)
 
 # (2x2 sub-CHMs, 3x3 sub-CHMs, real entries), decided exactly
 EXACT_COUNTS = {

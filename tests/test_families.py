@@ -1,5 +1,6 @@
 import math
 import os
+import struct
 import subprocess
 import sys
 from pathlib import Path
@@ -11,6 +12,8 @@ import chm
 from chm import (
     DomainError,
     FamilyPoint,
+    ScanConfig,
+    Tolerance,
     UnknownNameError,
     census_2x2,
     f_factor,
@@ -23,8 +26,9 @@ from chm import (
     named,
     registry_entries,
     registry_names,
+    run_scan,
 )
-from chm.families import _family_stack
+from chm.families import _f, _f_parts, _family_stack
 from chm.scan import grid_values
 from util import NATURAL_PAIRING, family_h_oracle, random_point, rng
 
@@ -164,6 +168,54 @@ def test_family_h_matches_nested_row_oracle():
     for x1, x2 in points:
         p = FamilyPoint(x1, x2)
         assert np.array_equal(family_h(p), family_h_oracle(p)), (x1, x2)
+
+
+def _bits(z):
+    return struct.pack("<dd", z.real, z.imag)
+
+
+def _points(seed, n):
+    gen = rng(seed)
+    h = math.pi / 2
+    points = [(x1, x2) for x1 in grid_values(16) for x2 in grid_values(16)]
+    points += [(h, h), (h, 0.0), (0.0, h), (-h + 1e-6, -h + 1e-6), (-h + 1e-6, h), (h - 1e-15, h)]
+    return points + [(p.x1, p.x2) for p in (random_point(gen) for _ in range(n))]
+
+
+def test_f_of_negated_arguments_is_built_from_the_conjugated_factors():
+    # family_h takes f3 = _f(-x1, -x2) and f4 = _f(-x1, x2) from the factors
+    # of f1 and f2 without trig of their own; this must hold bit for bit.
+    for x1, x2 in _points(79, 500):
+        for a, b in ((x1, x2), (x1, -x2)):
+            e, u, k = _f_parts(a, b)
+            assert _bits(_f(a, b)) == _bits(e * u * k), (a, b)
+            assert _bits(_f(-a, -b)) == _bits(e.conjugate() * u.conjugate() * k), (a, b)
+
+
+# S: the row and column permutation (1,2,5,6,3,4), 0-based. Rows 5, 6 of the
+# family are rows 3, 4 with column pairs (3,4) and (5,6) swapped.
+_S = [0, 1, 4, 5, 2, 3]
+
+
+def test_family_is_fixed_by_swapping_its_last_two_row_and_column_pairs():
+    for x1, x2 in _points(89, 200):
+        H = family_h(FamilyPoint(x1, x2))
+        assert H[_S][:, _S].tobytes() == H.tobytes(), (x1, x2)
+
+
+@pytest.mark.parametrize("eps", [1e-14, 1e-12, 1e-9, 1e-6, 1e-4])
+def test_family_counts_are_odd_and_at_least_seventeen(eps):
+    # S, and C = the permutation (2,1,4,3,6,5) with phases, which maps the
+    # family to its conjugate, keep every |ad + bc| and permute the 225
+    # locations. 17 residuals vanish at every point: orbits of sizes 1 and 2.
+    # The other 208 fall into 50 orbits of 4 and 4 of 2, whose members agree
+    # to rounding. So a count is 17 plus an even number: never 10-16 or 18.
+    tol = Tolerance(eps)
+    records, _ = run_scan(ScanConfig(grid_n=16, out_path="unused", tol=tol))
+    counts = [r.n for r in records]
+    gen = rng(97)
+    counts += [census_2x2(family_h(random_point(gen)), tol).count for _ in range(200)]
+    assert all(n % 2 == 1 and n >= 17 for n in counts), sorted(set(counts))
 
 
 def test_family_reducible_at_random_points():

@@ -1,4 +1,8 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -30,11 +34,11 @@ from chm.scan import _CHUNK, _scan_stack
 from util import brute_force_census_2x2, brute_force_h2
 
 
-# Grid 8 fills whole chunks; grid 10 spans several and ends in a partial one.
-@pytest.mark.parametrize("grid_n", [8, 10])
+# Grid 6 fills whole chunks; grids 8 and 10 end in a partial one. Each spans
+# several chunks.
+@pytest.mark.parametrize("grid_n", [6, 8, 10])
 def test_run_scan_matches_scalar_oracles(grid_n):
-    if grid_n == 10:
-        assert grid_n**2 % _CHUNK != 0 and grid_n**2 > 2 * _CHUNK
+    assert (grid_n**2 % _CHUNK == 0) == (grid_n == 6) and grid_n**2 > 2 * _CHUNK
     records, summary = run_scan(ScanConfig(grid_n=grid_n, out_path="unused"))
     expected = []
     for x1 in grid_values(grid_n):
@@ -126,8 +130,10 @@ def test_scan_computes_gram_residuals_once_per_chunk(monkeypatch):
         if hasattr(module, "_gram_residuals"):
             monkeypatch.setattr(module, "_gram_residuals", counting)
     records, _ = run_scan(ScanConfig(grid_n=16, out_path="unused"))
-    assert calls == [32] * 8
-    assert [r.gram_residual for r in records[:32]] == real(_family_stack(*zip(*[(r.x1, r.x2) for r in records[:32]]))).tolist()
+    whole, rest = divmod(16**2, _CHUNK)
+    assert calls == [_CHUNK] * whole + [rest] * (rest > 0)
+    first = records[:_CHUNK]
+    assert [r.gram_residual for r in first] == real(_family_stack(*zip(*[(r.x1, r.x2) for r in first]))).tolist()
 
 
 def test_residual_table_rejects_a_stack_with_one_non_chm_member():
@@ -161,3 +167,34 @@ def test_scan_config_rejects_a_tol_that_is_not_a_tolerance(tol):
     with pytest.raises(TypeError, match="Tolerance"):
         ScanConfig(16, "unused", tol=tol)
     assert ScanConfig(16, "unused", tol=Tolerance(1e-6)).tol.eps == 1e-6
+
+
+_SCAN_FAULTS = """
+import resource, sys
+from chm import ScanConfig, run_scan
+config = ScanConfig(grid_n=int(sys.argv[1]), out_path="unused")
+before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+run_scan(config)
+print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+"""
+
+
+def _scan_faults(grid_n):
+    # Minor page faults of one run_scan in a fresh process.
+    package_root = str(Path(chm.__file__).resolve().parent.parent)
+    out = subprocess.run(
+        [sys.executable, "-c", _SCAN_FAULTS, str(grid_n)],
+        capture_output=True,
+        text=True,
+        check=True,
+        env={**os.environ, "PYTHONPATH": package_root},
+    )
+    return int(out.stdout)
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="ru_minflt as Linux counts it")
+def test_scan_chunks_do_not_refault_the_heap():
+    # A chunk's temporaries are reused from the heap, not handed back to the
+    # OS and faulted in again: under one minor fault per extra grid point.
+    extra = _scan_faults(64) - _scan_faults(16)
+    assert extra < 64**2 - 16**2, extra
