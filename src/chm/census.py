@@ -29,6 +29,8 @@ _TRIPLES = list(itertools.combinations(range(6), 3))  # 20 index triples
 _P = np.array(_PAIRS)
 _R1, _R2 = _P.T
 _T = np.array(_TRIPLES)
+# [row triple, 3]: the pair indices of its row pairs (a, b), (a, c), (b, c).
+_TRIPLE_PAIRS = np.array([[_PAIRS.index(p) for p in itertools.combinations(t, 2)] for t in _TRIPLES])
 
 # 1-based index tuples, as reported in locations and pairings.
 _PAIRS_1 = [(i + 1, j + 1) for i, j in _PAIRS]
@@ -173,7 +175,7 @@ def _pair_residuals(M) -> tuple[np.ndarray, float]:
 def census_2x2(M, tol: Tolerance = DEFAULT_TOL) -> CensusResult:
     """Count and locate the 2x2 sub-CHMs among the 225 submatrices of a 6x6 CHM."""
     hits = np.flatnonzero(_residual_table(_prepare(M), tol)[0] <= tol.eps)
-    return CensusResult(count=len(hits), locations=tuple(_LOCS_2X2[k] for k in hits))
+    return CensusResult(count=len(hits), locations=tuple(_LOCS_2X2[k] for k in hits.tolist()))
 
 
 def find_3x3_sub_chms(M, tol: Tolerance = DEFAULT_TOL) -> list[SubmatrixLoc]:
@@ -186,14 +188,13 @@ def find_3x3_sub_chms(M, tol: Tolerance = DEFAULT_TOL) -> list[SubmatrixLoc]:
     P = _prepare(M)
     if P.matrix.shape != (6, 6):
         raise DimensionMismatchError(f"expected a 6x6 matrix, got {P.matrix.shape}")
-    return [_LOCS_3X3[k] for k in np.flatnonzero(P.cached(_gram_3x3) <= 3 * tol.eps)]
+    return [_LOCS_3X3[k] for k in np.flatnonzero(P.cached(_gram_3x3) <= 3 * tol.eps).tolist()]
 
 
 def _gram_3x3(M) -> np.ndarray:
-    # [row triple, column triple]: the largest modulus of the three row inner products.
-    X = M[_T]  # [row triple, row, column]
-    u = X[:, [0, 0, 1]] * X[:, [1, 2, 2]].conj()  # [row triple, row pair, column]
-    return np.abs(u[..., _T].sum(-1)).max(axis=1)
+    # [row triple, column triple]: the largest modulus of its three row inner products.
+    Q = M[_R1] * M[_R2].conj()  # [row pair, column]: the products each inner product sums
+    return np.abs(Q[:, _T].sum(-1))[_TRIPLE_PAIRS].max(axis=1)
 
 
 def _h2_hits(hit) -> np.ndarray:

@@ -32,6 +32,9 @@ EXIT_UNKNOWN_NAME = 2
 EXIT_INVALID = 3
 EXIT_TIMEOUT = 4
 EXIT_IO = 5
+# The exit code of an error: the first kind it is an instance of.
+_ERROR_EXITS = ((UnknownNameError, EXIT_UNKNOWN_NAME), (SearchTimeoutError, EXIT_TIMEOUT),
+                ((ChmError, ValueError), EXIT_INVALID), (OSError, EXIT_IO))
 
 
 def _default_eps() -> float:
@@ -240,18 +243,9 @@ def main(argv=None) -> int:
         args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except UnknownNameError as exc:
+    except (ChmError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_UNKNOWN_NAME
-    except SearchTimeoutError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_TIMEOUT
-    except (ChmError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INVALID
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_IO
+        return next(code for kind, code in _ERROR_EXITS if isinstance(exc, kind))
 
 
 if __name__ == "__main__":

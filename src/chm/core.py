@@ -164,20 +164,21 @@ _RECENT_SIZE = 4
 def _prepare(M) -> _Prepared:
     """M itself if already prepared; else the kept object of a registry array, the
     recent object of M's content if d <= 6, or a fresh one. Only a new input is
-    validated (as_matrix): an exact complex128 d x d array, not from the registry,
-    whose bytes are a recent key was validated when that key was made."""
+    validated (as_matrix): a registry array was validated at import, and an exact
+    complex128 d x d array whose bytes are a recent key was validated when that
+    key was made."""
     if isinstance(M, _Prepared):
         return M
+    P = _KEPT.get(id(M))
+    if P is not None and P.matrix is M:
+        return P
     P = None
     if (type(M) is np.ndarray and M.dtype == np.complex128 and M.ndim == 2
-            and M.shape[0] == M.shape[1] <= 6 and id(M) not in _KEPT):
+            and M.shape[0] == M.shape[1] <= 6):
         key = M.tobytes()
         P = _RECENT.pop(key, None)
     if P is None:
         M = as_matrix(M)
-        P = _KEPT.get(id(M))
-        if P is not None and P.matrix is M:
-            return P
         if M.shape[0] > 6:
             return _Prepared(M)
         key = M.tobytes()

@@ -3,7 +3,8 @@
 Two matrices A, B are complex equivalent when A = Pr Dr B Dc Pc for
 permutation matrices P and unimodular diagonal matrices D. Dephasing
 (normalizing the first row and column to ones) absorbs the diagonal
-factors, so the search only has to match dephased forms. It screens
+factors, so the search only has to match dephased forms. A 6x6 miss is
+mostly decided before that, by the sorted 2x2 residual tables. It screens
 every pivot (row s, column t) of B by the sorted entries of B dephased
 there, pairs the rows of each surviving form with the rows of A's by
 their sorted entries, and walks only the row orders those pairs allow;
@@ -19,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .census import _P, _PAIRS_1, _T, _TRIPLES_1
+from .census import _P, _PAIRS_1, _T, _TRIPLES_1, _pair_residuals
 from .core import _KEPT, DEFAULT_TOL, Tolerance, _chm_residual, _gram_residuals, _prepare, as_matrix
 from .errors import (
     DimensionMismatchError,
@@ -35,6 +36,7 @@ from .errors import (
 # B's form under (sigma, tau), so one within eps has |G - Ad| < 2*eps; and
 # sorting is 1-Lipschitz, so no stage rejects a witness that check accepts.
 _PREFILTER_ATOL = 1e-7
+_ONE_I = np.array([[1.0], [1.0j]])  # the points _signature measures distances to
 
 
 @dataclass(frozen=True, eq=False)
@@ -134,10 +136,11 @@ def real_submatrices_3x2(M, tol: Tolerance = DEFAULT_TOL) -> list[RealSubmatrixR
     M = _prepare(M).matrix
     if M.shape != (6, 6):
         raise DimensionMismatchError(f"expected a 6x6 matrix, got {M.shape}")
-    real = (np.abs(M.imag) <= tol.eps)[:, _P].all(axis=2)  # [row, col pair]
-    r, c = np.nonzero(real[_T].all(axis=1))  # [row triple, col pair] blocks
-    if r.size == 0:
+    real_entries = np.abs(M.imag) <= tol.eps
+    if np.count_nonzero(real_entries.sum(axis=1) >= 2) < 3:  # a real block needs three such rows
         return []
+    real = real_entries[:, _P].all(axis=2)  # [row, col pair]
+    r, c = np.nonzero(real[_T].all(axis=1))  # [row triple, col pair] blocks
     S = M.real[_T[r, :, None], _P[c, None, :]]  # [hit, i, j]
     top, bottom = S[:, [0, 0, 1], :], S[:, [1, 2, 2], :]  # the three row pairs
     minors = top[..., 0] * bottom[..., 1] - top[..., 1] * bottom[..., 0]
@@ -155,7 +158,7 @@ def _signature(M) -> np.ndarray:
     # and (unlike raw angles) have no branch cut at phase +-pi, so fp jitter
     # cannot flip a bucket.
     flat = M.reshape(*M.shape[:-2], 1, -1)
-    return np.sort(np.abs(flat - np.array([[1.0], [1.0j]])), axis=-1)
+    return np.sort(np.abs(flat - _ONE_I), axis=-1)
 
 
 def _build_witness(A, B, sigma, tau, eps) -> EquivalenceWitness | None:
@@ -163,7 +166,8 @@ def _build_witness(A, B, sigma, tau, eps) -> EquivalenceWitness | None:
     # of A: first fitted to R's first row and column; if that misses, refitted
     # to all of R by three rounds of rank-1 phase averaging (the column phases
     # from every row, then the row phases from every column).
-    Bp = B[list(sigma)][:, list(tau)]
+    s, t = np.array(sigma), np.array(tau)
+    Bp = B[s[:, None], t]
     R = A / Bp
     rho = R[:, 0]
     gamma = R[0, :] / rho[0]
@@ -175,16 +179,11 @@ def _build_witness(A, B, sigma, tau, eps) -> EquivalenceWitness | None:
             rho /= np.abs(rho)
         if np.abs(rho[:, None] * Bp * gamma[None, :] - A).max() > eps:
             return None
-    d = len(sigma)
-    row_phases = np.empty(d, dtype=np.complex128)
-    col_phases = np.empty(d, dtype=np.complex128)
-    row_phases[list(sigma)] = rho
-    col_phases[list(tau)] = gamma
-    return EquivalenceWitness(
-        row_perm=tuple(s + 1 for s in sigma),
-        col_perm=tuple(t + 1 for t in tau),
-        row_phases=row_phases,
-        col_phases=col_phases,
+    return EquivalenceWitness(  # row_phases[sigma[j]] = rho[j]; argsort inverts a permutation
+        row_perm=tuple(j + 1 for j in sigma),
+        col_perm=tuple(k + 1 for k in tau),
+        row_phases=rho[np.argsort(s)],
+        col_phases=gamma[np.argsort(t)],
     )
 
 
@@ -194,7 +193,9 @@ def are_equivalent(A, B, tol: Tolerance = DEFAULT_TOL, timeout: float | None = N
     Returns the witness with the lexicographically smallest
     (row_perm, col_perm) if the matrices are equivalent, else None.
 
-    A screen dephases B at every pivot (s, t), a block of pivot rows per
+    For d = 6, sorted 2x2 residual tables (kept per input) that differ by
+    more than max(1e-7, 17*eps) prove a miss before any dephasing. Else a
+    screen dephases B at every pivot (s, t), a block of pivot rows per
     broadcast (for d <= 6 one block, which a registry matrix keeps), and
     keeps the pivots whose sorted entries match A's dephased form. Under a
     kept pivot, row j of B's form may become row k of A's only if their
@@ -223,6 +224,10 @@ def are_equivalent(A, B, tol: Tolerance = DEFAULT_TOL, timeout: float | None = N
 
     d = A.shape[0]
     eps = tol.eps
+    if d == 6:  # a miss decided here is returned before the time budget is read
+        ta, tb = (P.cached(_sorted_table, _pair_residuals) for P in (PA, PB))
+        if np.abs(ta - tb).max() > max(_PREFILTER_ATOL, 17 * eps):
+            return None
     atol = max(_PREFILTER_ATOL, 2 * eps)
     deadline = None if timeout is None else time.monotonic() + timeout
 
@@ -252,6 +257,18 @@ def are_equivalent(A, B, tol: Tolerance = DEFAULT_TOL, timeout: float | None = N
                 if witness is not None:
                     return witness
     return None
+
+
+def _sorted_table(M, pair_residuals) -> np.ndarray:
+    # Sorted 2x2 residuals |ad + bc| of a 6x6 CHM. A witness is accepted only if
+    # U = rho B[sigma, tau] gamma is within eps of A. As |A|, |B| are within eps
+    # of 1, |rho_j gamma_k| is within 3*eps/(1 - eps) of 1; rescaling the phases
+    # to modulus one gives an image U' of B, with B's residuals permuted, and
+    # |A - U'| <= delta = eps + 3*eps*(1 + eps)/(1 - eps) < 4.01*eps (eps < 1e-3).
+    # Each residual of A (two products of entries within delta) is then within
+    # 4*delta*(1 + eps) < 16.1*eps of U''s, and sorting is 1-Lipschitz in the max
+    # norm: a gap over 17*eps (the rest covers rounding) proves a miss.
+    return np.sort(pair_residuals[0], axis=None)
 
 
 def _a_side(A):

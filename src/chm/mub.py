@@ -13,14 +13,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .census import _h2_from_table, _pair_residuals, _residual_table, find_3x3_sub_chms, forbidden_count_check
+from .census import _h2_from_table, _residual_table, find_3x3_sub_chms, forbidden_count_check
 from .core import DEFAULT_TOL, Tolerance, _prepare
-from .equivalence import _PREFILTER_ATOL, are_equivalent, count_real_entries
+from .equivalence import are_equivalent, count_real_entries
 from .errors import DimensionMismatchError, InvalidMatrixError
 from .families import named
-
-# D0's kept object: R3 reads its sorted residual table and its pivot screen.
-_D0 = _prepare(named("D0").matrix)
 
 
 @dataclass(frozen=True)
@@ -90,23 +87,14 @@ def mu_set(matrices, tol: Tolerance = DEFAULT_TOL) -> MuVerdict:
     return MuVerdict(ok=ok, max_deviation=worst)
 
 
-def _sorted_table(M) -> np.ndarray:
-    # R3 certificate: a witness W is accepted only if |apply_witness(D0, W) - H| <= eps,
-    # so H (entries within eps of modulus 1) lies within 3*eps of an image U of D0 under
-    # permutations and unimodular phases, whose 2x2 residuals |ad + bc| are D0's permuted.
-    # Each residual of H is within 2*(2*3eps + (3eps)^2) < 13*eps (eps < 1e-3) of U's, and
-    # sorting is 1-Lipschitz in the max norm: a larger gap between the sorted tables of
-    # H and D0 (this, kept on D0's object) proves H inequivalent.
-    return np.sort(_pair_residuals(M)[0], axis=None)
-
-
 def exclusion_report(H, tol: Tolerance = DEFAULT_TOL) -> ExclusionReport:
     """Evaluate the sufficient conditions excluding a 6x6 CHM from any CHM trio.
 
     R1: more than 22 real entries (evidence: the count).
     R2: contains a 3x3 sub-CHM (evidence: one location).
-    R3: complex equivalent to D0 (evidence: the witness); searched only when
-        H's sorted 2x2 residuals lie within max(1e-7, 13*eps) of D0's.
+    R3: complex equivalent to D0 (evidence: the witness). The search first
+        compares H's sorted 2x2 residuals with D0's: a gap above
+        max(1e-7, 17*eps) decides a miss.
     R4: diagnostic only -- H2-reducible with a 2x2 census count that the
         block structure rules out (10..16 or 18); flags data/numeric error.
         Pairings are searched only for such a count.
@@ -126,11 +114,9 @@ def exclusion_report(H, tol: Tolerance = DEFAULT_TOL) -> ExclusionReport:
     if locs:
         hits.append(RuleHit("R2", locs[0].to_obj()))
 
-    # H is checked by its residual table, D0 by the registry at import.
-    if np.abs(np.sort(table, axis=None) - _D0.cached(_sorted_table)).max() <= max(_PREFILTER_ATOL, 13 * tol.eps):
-        witness = are_equivalent(P, _D0, tol)
-        if witness is not None:
-            hits.append(RuleHit("R3", witness.to_obj()))
+    witness = are_equivalent(P, named("D0").matrix, tol)  # D0 keeps its sorted table and screen
+    if witness is not None:
+        hits.append(RuleHit("R3", witness.to_obj()))
 
     count = int(np.count_nonzero(table <= tol.eps))
     structure = None if forbidden_count_check(count) else _h2_from_table(table, tol.eps)

@@ -23,13 +23,14 @@ from chm import (
     named,
     registry_names,
 )
-from chm.census import _PAIRING_PAIRS, _PAIRINGS, _PAIRS, _residual_table
+from chm.census import _PAIRING_PAIRS, _PAIRINGS, _PAIRS, _gram_3x3, _residual_table
 from chm.scan import grid_values
 from util import (
     NATURAL_PAIRING,
     PAIRINGS,
     brute_force_census_2x2,
     brute_force_h2,
+    gram_3x3_oracle,
     looped_census_3x3,
     random_phases,
     random_point,
@@ -241,6 +242,17 @@ def test_3x3_census_matches_looped_oracle(oracle_matrices):
     for M in oracle_matrices + off_chm:
         assert find_3x3_sub_chms(M) == looped_census_3x3(M)
     assert SubmatrixLoc(rows=(1, 3, 5), cols=(2, 4, 6)) in find_3x3_sub_chms(off_chm[-1])
+
+
+def test_3x3_table_from_row_pair_products_is_the_old_formula_bit_for_bit():
+    # The table gathers each row pair's products once, not once per row triple;
+    # the products and their summation order are the old formula's.
+    gen = rng(83)
+    points = [family_h(random_point(gen)) for _ in range(200)]
+    inputs = [named(name).matrix for name in registry_names()]
+    inputs += points + [apply_witness(M, random_witness(gen)) for M in points]
+    for M in inputs:
+        assert np.array_equal(_gram_3x3(M), gram_3x3_oracle(M))
 
 
 @pytest.mark.parametrize("size", [1, 5, 32, 33])

@@ -35,6 +35,7 @@ from util import (
     random_point,
     random_unimodular,
     random_witness,
+    residual_table_oracle,
     rng,
     straddling_d0,
 )
@@ -467,3 +468,71 @@ def test_real_submatrices_match_looped_oracle_off_chms(eps):
     assert {r.rank for r in reports} == {1, 2}
     assert any(r.cols == (2, 5) and r.rank == 1 for r in reports)
     assert any(r.rows == (2, 3, 4) and r.cols == (3, 4) for r in reports)
+
+
+def test_real_submatrices_exit_when_fewer_than_three_rows_can_hold_a_block():
+    # A real 3x2 block needs three rows with two real entries each. Signed
+    # images of D0 and M1 keep their real entries (every row qualifies); the
+    # planted inputs have exactly two and exactly three qualifying rows.
+    gen = rng(97)
+    inputs = [apply_witness(named(name).matrix, random_witness(gen, signs_only=True))
+              for name in ("D0", "M1") for _ in range(10)]
+    base = np.exp(1j * gen.uniform(0.2, 1.2, size=(6, 6)))  # no entry is real
+    two, three, apart = base.copy(), base.copy(), base.copy()
+    for M, rows, cols in ((two, (0, 1), (1, 4)), (three, (0, 1, 2), (1, 4)), (apart, (0, 1), (1, 4))):
+        M[np.ix_(rows, cols)] = gen.choice([-1.0, 1.0], size=(len(rows), 2))
+    apart[2, [0, 3]] = 1.0  # a third qualifying row, on other columns: no block
+    inputs += [two, three, apart]
+    found = [real_submatrices_3x2(M) for M in inputs]
+    assert found == [looped_real_3x2(M) for M in inputs]
+    assert found[-3] == found[-1] == []
+    assert [(r.rows, r.cols) for r in found[-2]] == [((1, 2, 3), (2, 5))]
+
+
+@pytest.mark.parametrize("eps", [1e-9, 1e-6, 1e-4, 9e-4])
+def test_sorted_table_certificate_never_rejects_an_accepted_witness(eps):
+    # Both sides carry phase and modulus noise within +-0.5*eps. Wherever the
+    # unscreened oracle accepts a witness, the sorted 2x2 tables lie within
+    # 17*eps (the certificate's bound), and the search returns that witness.
+    gen = rng(89)
+    tol = Tolerance(eps)
+    sources = [named(name).matrix for name in registry_names()]
+    sources += [family_h(random_point(gen)) for _ in range(3)]
+
+    def noisy(M):
+        phase = np.exp(1j * gen.uniform(-0.5 * eps, 0.5 * eps, M.shape))
+        return M * phase * (1 + gen.uniform(-0.5 * eps, 0.5 * eps, M.shape))
+
+    def sorted_table(M):
+        return np.sort(residual_table_oracle(M[None]), axis=None)
+
+    accepted = 0
+    for M in sources:
+        for _ in range(2):
+            A, B = noisy(apply_witness(M, random_witness(gen))), noisy(M)
+            if not (is_chm(A, tol).ok and is_chm(B, tol).ok):
+                continue
+            expected = brute_force_equivalence(A, B, eps)
+            found = are_equivalent(A, B, tol)
+            if expected is None:
+                assert found is None
+                continue
+            accepted += 1
+            assert np.abs(sorted_table(A) - sorted_table(B)).max() <= 17 * eps
+            assert (found.row_perm, found.col_perm) == (expected.row_perm, expected.col_perm)
+            assert np.array_equal(found.row_phases, expected.row_phases)
+            assert np.array_equal(found.col_phases, expected.col_phases)
+    assert accepted >= len(sources)
+
+
+def test_a_certified_miss_dephases_nothing(monkeypatch):
+    # F6 and D0 differ in their sorted 2x2 tables: the miss is decided before
+    # A's dephased side or B's screen is built, and before the budget is read.
+    calls = []
+    for name in ("_a_side", "_screen"):
+        build = getattr(chm.equivalence, name)
+        monkeypatch.setattr(chm.equivalence, name, lambda *a, build=build: calls.append(1) or build(*a))
+    F6, D0 = named("F6").matrix, named("D0").matrix
+    assert are_equivalent(F6, D0) is None
+    assert are_equivalent(D0, F6, timeout=0.0) is None
+    assert calls == []

@@ -89,11 +89,15 @@ def test_mu_set():
     assert singleton.ok and singleton.max_deviation == 0.0
 
 
+@pytest.mark.usefixtures("fresh_recent")
 def test_mu_set_validates_each_matrix_once(monkeypatch):
+    # Registry arrays were validated at import; writable copies once each.
     calls = []
     validate = chm.core._as_stack
     monkeypatch.setattr(chm.core, "_as_stack", lambda m: calls.append(1) or validate(m))
     assert not mu_set([named(name).matrix for name in ("F6", "D0", "S6")]).ok
+    assert len(calls) == 0
+    assert not mu_set([np.array(named(name).matrix) for name in ("F6", "D0", "S6")]).ok
     assert len(calls) == 3
 
 
@@ -208,9 +212,11 @@ def _r3_cases():
 
 @pytest.mark.parametrize("H, searches", _r3_cases())
 def test_r3_searches_only_past_the_residual_certificate(monkeypatch, H, searches):
+    # The first step of the search past the certificate builds H's dephased
+    # side. Wrapped, the builder is a new cache key: it runs whenever reached.
     calls = []
-    search = chm.mub.are_equivalent
-    monkeypatch.setattr(chm.mub, "are_equivalent", lambda *a: calls.append(1) or search(*a))
+    a_side = chm.equivalence._a_side
+    monkeypatch.setattr(chm.equivalence, "_a_side", lambda *a: calls.append(1) or a_side(*a))
     fired = [hit.rule_id for hit in exclusion_report(H).rules_fired]
     assert len(calls) == searches
     assert ("R3" in fired) == (searches == 1)

@@ -354,3 +354,13 @@ def matrix_from_obj_oracle(obj):
                 raise InvalidMatrixError("matrix entry components must be finite")
             out[j, k] = z
     return out
+
+
+def gram_3x3_oracle(M):
+    """[row triple, column triple] table of the largest row inner product modulus,
+    summed per row triple: the products of its three row pairs, then their sums
+    over every column triple, in the order the library sums them."""
+    T = np.array(TRIPLES)
+    X = M[T]  # [row triple, row, column]
+    u = X[:, [0, 0, 1]] * X[:, [1, 2, 2]].conj()  # [row triple, row pair, column]
+    return np.abs(u[..., T].sum(-1)).max(axis=1)
