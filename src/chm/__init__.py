@@ -54,7 +54,6 @@ from .families import (
     FamilyPoint,
     RegistryEntry,
     f_factor,
-    f_factor_alt,
     family_h,
     named,
     registry_entries,

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import DEFAULT_TOL, CheckResult, Tolerance, _chm_residual, _gram_residuals, _prepare, _Prepared
+from .core import DEFAULT_TOL, CheckResult, Tolerance, _chm_residual, _gram_residuals, _prepare, _Prepared, _out
 from .errors import (
     DimensionMismatchError,
     NotCHMError,
@@ -151,23 +151,30 @@ def _residual_table(M, tol: Tolerance) -> np.ndarray:
     return residual
 
 
-def _pair_residuals(M) -> tuple[np.ndarray, float]:
+def _pair_residuals(M, work=None) -> tuple[np.ndarray, float]:
     # The (B, 15, 15) residuals |ad + bc| of a finite 6x6 matrix or (B, 6, 6)
     # stack, and their largest gap to |a conj(c) + b conj(d)|. A and B hold the
     # two rows of each row pair, [member, row pair, column]: a, b are A's
-    # entries at column pair q, c, d are B's. In place, few temporaries live.
+    # entries at column pair q, c, d are B's. With a workspace (core._Workspace)
+    # every array is written into its buffers. Each product writes in place into
+    # its first operand or into a buffer that neither operand uses: any other
+    # aliasing can change how numpy rounds it.
     S = M.reshape(-1, 6, 6)
-    A, B = S[:, _R1], S[:, _R2]
-    ad = A[..., _R1]
-    ad *= B[..., _R2]
-    bc = A[..., _R2]
-    bc *= B[..., _R1]
+    rows, table = (len(S), 15, 6), (len(S), 15, 15)
+    out = _out(work)
+    A, B = S.take(_R1, 1, out("pair.A", rows), "clip"), S.take(_R2, 1, out("pair.B", rows), "clip")
+    ad = A.take(_R1, 2, out("pair.ad", table), "clip")
+    ad *= B.take(_R2, 2, out("pair.tmp", table), "clip")
+    bc = A.take(_R2, 2, out("pair.bc", table), "clip")
+    bc *= B.take(_R1, 2, out("pair.tmp", table), "clip")
     ad += bc
-    residual = np.abs(ad)
-    Q = A * np.conj(B)  # a conj(c) at column r1 of q, b conj(d) at column r2
-    alt = Q[..., _R1]
-    alt += Q[..., _R2]
-    gap = np.abs(alt)
+    residual = np.abs(ad, out=out("pair.residual", table, np.float64))
+    # a conj(c) at column r1 of q, b conj(d) at column r2; B's and ad's
+    # buffers are free to hold conj(B) and the products.
+    Q = np.multiply(A, np.conjugate(B, out=B), out=out("pair.ad", rows))
+    alt = Q.take(_R1, 2, out("pair.bc", table), "clip")
+    alt += Q.take(_R2, 2, out("pair.tmp", table), "clip")
+    gap = np.abs(alt, out=out("pair.gap", table, np.float64))
     gap -= residual
     return residual, float(np.abs(gap, out=gap).max())
 

@@ -25,7 +25,7 @@ from .equivalence import are_equivalent, count_real_entries, dephase
 from .errors import ChmError, SearchTimeoutError, UnknownNameError
 from .families import FamilyPoint, family_h, named, registry_entries
 from .mub import exclusion_report, mu_pair
-from .scan import ScanConfig, run_scan, summary_line, write_records
+from .scan import ScanConfig, summary_line, write_scan
 
 EXIT_NEGATIVE = 1
 EXIT_UNKNOWN_NAME = 2
@@ -116,10 +116,7 @@ def _cmd_scan(args) -> int:
         tol=_tol(args),
         fmt=args.format,
     )
-    open(config.out_path, "wb").close()  # an unwritable path fails before the sweep
-    records, summary = run_scan(config)
-    write_records(records, summary, config)
-    print(summary_line(summary))
+    print(summary_line(write_scan(config)))
     return 0
 
 

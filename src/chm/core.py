@@ -92,13 +92,17 @@ def unimodularity_residual(M) -> float:
     return _unimodularity(_as_stack(M))
 
 
-def _gram_residuals(M: np.ndarray) -> np.ndarray:
+def _gram_residuals(M: np.ndarray, work=None) -> np.ndarray:
     # Per member of a validated matrix or (B, d, d) stack: largest |(M M* - d I)_jk|.
+    # With a workspace (see _Workspace) every array is written into its buffers.
     d = M.shape[-1]
     stack = M.reshape(-1, d, d)
-    G = stack @ stack.conj().transpose(0, 2, 1)
+    out = _out(work)
+    conj = np.conjugate(stack, out=out("gram.conj", stack.shape))
+    G = np.matmul(stack, conj.transpose(0, 2, 1), out=out("gram", stack.shape))
     G.reshape(len(G), -1)[:, :: d + 1] -= d  # the diagonal, in place: no d * I is built
-    return np.abs(G).max(axis=(1, 2))
+    absG = np.abs(G, out=out("gram.abs", stack.shape, np.float64))
+    return absG.max(axis=(1, 2), out=out("gram.max", (len(G),), np.float64))
 
 
 def gram_residual(M) -> float:
@@ -114,8 +118,11 @@ def is_chm(M, tol: Tolerance = DEFAULT_TOL) -> CheckResult:
     gram residual / d), keeping ok <=> residual <= eps. On a (B, d, d)
     stack, ok means every member passes; the residual is the worst one's.
     """
-    S = _as_stack(M)
-    residual = _chm_residual(S, _gram_residuals(S))
+    if np.ndim(M) == 3:
+        S = _as_stack(M)
+        residual = _chm_residual(S, _gram_residuals(S))
+    else:  # a matrix: read from, and kept on, its prepared object
+        residual = _prepare(M).cached(_chm_residual, _gram_residuals)
     return CheckResult(residual <= tol.eps, residual)
 
 
@@ -138,17 +145,47 @@ class _Prepared:
 
     __slots__ = ("matrix", "_cache")
 
-    def __init__(self, M: np.ndarray):
+    def __init__(self, M: np.ndarray, cache=None):
+        # cache: builds already made, by builder (a sweep builds its kernels
+        # into its workspace and hands them in).
         if M.flags.writeable:
             M = M.view()
             M.flags.writeable = False
         self.matrix = M
-        self._cache = {}
+        self._cache = {} if cache is None else cache
 
     def cached(self, build, *uses):
         if build not in self._cache:
             self._cache[build] = build(self.matrix, *map(self.cached, uses))
         return self._cache[build]
+
+
+class _Workspace:
+    """Named buffers for the stack kernels' arrays, reused from one chunk of a
+    sweep to the next: a kernel's result lives until the next chunk's call."""
+
+    __slots__ = ("_buffers",)
+
+    def __init__(self):
+        self._buffers = {}
+
+    def view(self, name, shape, dtype=np.complex128):
+        # The buffer of a name at a shape: made on first use, remade if too small.
+        size = math.prod(shape)
+        buf = self._buffers.get(name)
+        if buf is None or buf.size < size or buf.dtype != dtype:
+            buf = self._buffers[name] = np.empty(size, dtype)
+        return buf[:size].reshape(shape)
+
+
+def _out(work):
+    # A stack kernel's out= source: the workspace's buffers, or with none,
+    # None for every array, so numpy allocates it fresh.
+    return _fresh if work is None else work.view
+
+
+def _fresh(name, shape, dtype=None):
+    return None
 
 
 # One prepared object per registry matrix, by the id of its read-only array,

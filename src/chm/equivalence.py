@@ -93,7 +93,7 @@ def dephase(M, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
     Entry (j,k) becomes M_jk * M_11 / (M_j1 * M_1k). Requires every
     first-row and first-column entry to have modulus at least eps.
     """
-    M = as_matrix(M)
+    M = _prepare(M).matrix
     if min(np.abs(M[:, 0]).min(), np.abs(M[0, :]).min()) < tol.eps:
         raise ZeroPivotError("first row/column entry too close to zero to dephase")
     return _dephased(M)

@@ -82,24 +82,6 @@ def _f_parts(a: float, b: float) -> tuple[complex, complex, complex]:
     return cmath.exp(1j * s), w / r, complex(0.5 * r, math.sqrt(1.0 - 0.25 * r * r))
 
 
-def f_factor_alt(x1: float, x2: float) -> complex:
-    """Same value as f_factor, computed along the algebraic route in
-    z1 = e^{i x1}, z2 = e^{i x2}:
-
-    (1 - (1-z1)(1-z2)/2) (1/2 + i sqrt(1/(1 - (z1-z1*)(z2-z2*)/4) - 1/4))
-    """
-    z1 = cmath.exp(1j * x1)
-    z2 = cmath.exp(1j * x2)
-    den = 1.0 - (z1 - z1.conjugate()) * (z2 - z2.conjugate()) / 4.0
-    if abs(den) <= 1e-12:
-        raise DomainError(f"vanishing denominator at ({x1!r}, {x2!r})")
-    rad = 1.0 / den - 0.25
-    if rad.real < -1e-12:
-        raise DomainError(f"negative radicand {rad!r} at ({x1!r}, {x2!r})")
-    first = 1.0 - 0.5 * (1.0 - z1) * (1.0 - z2)
-    return first * (0.5 + 1j * cmath.sqrt(rad))
-
-
 def family_h(point: FamilyPoint) -> np.ndarray:
     """The 6x6 CHM of the two-parameter family at the given point.
 
@@ -114,15 +96,21 @@ def family_h(point: FamilyPoint) -> np.ndarray:
     f1, f3 = e * u * k, e.conjugate() * u.conjugate() * k
     e, u, k = _f_parts(x1, -x2)
     f2, f4 = e * u * k, e.conjugate() * u.conjugate() * k
-    f1c, f2c, f3c, f4c = (f.conjugate() for f in (f1, f2, f3, f4))
+    # Every entry is the float operation of the nested-row formula: Python
+    # reads -z2 * f2 as (-z2) * f2 and z1 * z2 * f1c as (z1 * z2) * f1c, so
+    # the negations and z1 * z2 are made once, and each repeated entry too.
+    n1, n2, z12 = -z1, -z2, z1 * z2
+    f1c, f2c, f3c, f4c = f1.conjugate(), f2.conjugate(), f3.conjugate(), f4.conjugate()
+    h22, h23, h24, h25 = -f1, n2 * f2, -f3c, n2 * f4c  # entry [j, k], 0-based
+    h32, h33, h34, h35 = n1 * f2c, z12 * f1c, n1 * f4, z12 * f3
     # One flat tuple, row by row: numpy converts it faster than nested lists.
     entries = (
         1, 1, 1, 1, 1, 1,
-        1, -1, z1, -z1, z1, -z1,
-        1, z2, -f1, -z2 * f2, -f3c, -z2 * f4c,
-        1, -z2, -z1 * f2c, z1 * z2 * f1c, -z1 * f4, z1 * z2 * f3,
-        1, z2, -f3c, -z2 * f4c, -f1, -z2 * f2,
-        1, -z2, -z1 * f4, z1 * z2 * f3, -z1 * f2c, z1 * z2 * f1c,
+        1, -1, z1, n1, z1, n1,
+        1, z2, h22, h23, h24, h25,
+        1, n2, h32, h33, h34, h35,
+        1, z2, h24, h25, h22, h23,
+        1, n2, h34, h35, h32, h33,
     )
     return np.array(entries, dtype=np.complex128).reshape(6, 6)
 

@@ -2,35 +2,36 @@
 
 Each grid point records the 2x2 sub-CHM count, the Gram residual, whether
 a block pairing was found, and whether the count lands in the impossible
-range for block-reducible matrices. Points are processed in fixed-size
-chunks: each chunk is one (B, 6, 6) stack of family matrices, validated
-once, with one 2x2 residual table per member from which the count and
-both flags are read. Output is written in deterministic grid order.
+range for block-reducible matrices. The grid is walked lazily in row-major
+order, in fixed-size chunks: each chunk is one (B, 6, 6) stack of family
+matrices, checked once, with one 2x2 residual table per member from which
+the count and both flags are read. The kernels of every chunk write into
+one workspace that the sweep allocates once, and `write_scan` writes each
+chunk's rows as it finishes, so memory stays flat at any grid.
 """
 
 from __future__ import annotations
 
+import itertools
+import json
 import math
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .census import _h2_hits, _residual_table, forbidden_count_check
-from .core import DEFAULT_TOL, Tolerance, _gram_residuals, _Prepared
+from .census import _h2_hits, _pair_residuals, _residual_table, forbidden_count_check
+from .core import DEFAULT_TOL, Tolerance, _gram_residuals, _Prepared, _Workspace, json_dumps
 from .families import _family_stack
 
 CSV_HEADER = "x1,x2,N,gram_residual,h2_found,forbidden"
 
-# Grid points per stack: larger stacks spread numpy's per-call cost over
-# more points, but each point adds ~21 kB of short-lived temporaries (the
-# residual kernel's (B, 15, 15) complex tables take 3.6 kB each). Freed
-# together at the top of the heap, they pass glibc's trim threshold (128 KiB
-# unless earlier large frees raised it): the heap is handed back to the OS
-# after every chunk, and the next chunk faults it in again. Measured in fresh
-# processes from grid 16 to grid 64: 2.7 extra minor faults per point at 32,
-# 0.06 at 12. 14 and 16 re-faulted in some process states; 12 in none.
-_CHUNK = 12
+# Grid points per stack: larger stacks spread numpy's per-call cost over more
+# points. The kernels' arrays live in the sweep's workspace (~20 kB per point),
+# so no chunk frees and re-faults heap pages, but a larger chunk holds more.
+# Forked grid-16 scans on a 2-vCPU x86-64 box took 9.5-9.7 ms from 24 to 64
+# points and 10.5 ms at 12; peak RSS rose by 0.4 MB at 32 and 1.1 MB at 64.
+_CHUNK = 32
 
 
 @dataclass(frozen=True)
@@ -76,17 +77,26 @@ def grid_values(grid_n: int) -> list[float]:
     return [-math.pi / 2 + k * math.pi / grid_n for k in range(1, grid_n + 1)]
 
 
-def _scan_stack(x1s, x2s, eps: float) -> list[CensusRecord]:
-    # Census records for the points (x1s[m], x2s[m]), from one stack.
-    P = _Prepared(_family_stack(x1s, x2s))
+def _census_columns(x1s, x2s, eps: float, work=None) -> tuple[list, list, list, list]:
+    # Counts, Gram residuals, H2 flags and forbidden flags of the points
+    # (x1s[m], x2s[m]), from one stack. A sweep's workspace takes the kernels'
+    # arrays; the table still checks the stack (CHM, 10*eps oracle) from them.
+    S = _family_stack(x1s, x2s)
+    kernels = {_gram_residuals: _gram_residuals(S, work), _pair_residuals: _pair_residuals(S, work)}
+    P = _Prepared(S, kernels)
     hit = _residual_table(P, Tolerance(eps)) <= eps
     counts = np.count_nonzero(hit, axis=(1, 2)).tolist()
-    grams = P.cached(_gram_residuals).tolist()  # kept by the table's CHM check
-    h2 = _h2_hits(hit).any(axis=1).tolist()
-    return [
-        CensusRecord(x1, x2, n, gram, found, not forbidden_count_check(n))
-        for x1, x2, n, gram, found in zip(x1s, x2s, counts, grams, h2)
-    ]
+    forbidden = [not forbidden_count_check(n) for n in counts]
+    return counts, P.cached(_gram_residuals).tolist(), _h2_hits(hit).any(axis=1).tolist(), forbidden
+
+
+def _records(columns) -> list[CensusRecord]:
+    return [CensusRecord(*row) for row in zip(*columns)]
+
+
+def _scan_stack(x1s, x2s, eps: float) -> list[CensusRecord]:
+    # Census records for the points (x1s[m], x2s[m]), from one stack.
+    return _records((x1s, x2s, *_census_columns(x1s, x2s, eps)))
 
 
 def scan_point(x1: float, x2: float, eps: float = DEFAULT_TOL.eps) -> CensusRecord:
@@ -94,39 +104,120 @@ def scan_point(x1: float, x2: float, eps: float = DEFAULT_TOL.eps) -> CensusReco
     return _scan_stack([x1], [x2], eps)[0]
 
 
+def _chunks(config: ScanConfig):
+    # The grid in row-major (k1, k2) order, _CHUNK points at a time, walked
+    # lazily; each chunk as columns (x1s, x2s, counts, Gram residuals, H2
+    # flags, forbidden flags). One workspace serves every chunk.
+    xs = grid_values(config.grid_n)
+    points = itertools.product(xs, xs)
+    work = _Workspace()
+    while chunk := list(itertools.islice(points, _CHUNK)):
+        x1s, x2s = zip(*chunk)
+        yield (x1s, x2s, *_census_columns(x1s, x2s, config.tol.eps, work))
+
+
+def _sweep(config: ScanConfig, emit) -> dict:
+    # Hands each chunk's columns to emit as it finishes; returns the summary.
+    points = forbidden = 0
+    low, high = math.inf, -math.inf
+    for columns in _chunks(config):
+        emit(columns)
+        counts = columns[2]
+        points += len(counts)
+        low, high = min(low, *counts), max(high, *counts)
+        forbidden += sum(columns[5])
+    return {"points": points, "minN": low, "maxN": high, "forbiddenCount": forbidden}
+
+
 def run_scan(config: ScanConfig) -> tuple[list[CensusRecord], dict]:
     """All grid records in row-major (k1, k2) order, plus the summary."""
-    xs = grid_values(config.grid_n)
-    points = [(x1, x2) for x1 in xs for x2 in xs]
     records = []
-    for start in range(0, len(points), _CHUNK):
-        records += _scan_stack(*zip(*points[start : start + _CHUNK]), config.tol.eps)
-    counts = [r.n for r in records]
-    summary = {
-        "points": len(records),
-        "minN": min(counts),
-        "maxN": max(counts),
-        "forbiddenCount": sum(r.forbidden for r in records),
-    }
+    summary = _sweep(config, lambda columns: records.extend(_records(columns)))
     return records, summary
+
+
+def _float_text(x: float, fmt: str) -> str:
+    # x as the output prints it: 12 significant digits; in JSON, the form
+    # json_dumps gives the rounded float.
+    text = f"{x:.12g}"
+    return text if fmt == "csv" else json.dumps(float(text))
+
+
+_BOOL_TEXT = {False: "false", True: "true"}
+
+_JSON_RECORD = """    {{
+      "x1": {},
+      "x2": {},
+      "N": {},
+      "gramResidual": {},
+      "h2Found": {},
+      "forbidden": {}
+    }}"""
+
+
+class _Writer:
+    """Writes a scan file a batch of rows at a time: the CSV header and lines,
+    or the text json_dumps gives {"records": [...], "summary": ...}. A row is
+    (x1, x2, N, gram_residual, h2_found, forbidden); axis_text(x) is the text
+    of a grid value (see _float_text)."""
+
+    def __init__(self, fh, fmt: str, axis_text):
+        self.fh, self.fmt, self.axis_text = fh, fmt, axis_text
+        self.sep = "\n"  # before the next JSON record: the first follows the "[" line
+        fh.write(CSV_HEADER + "\n" if fmt == "csv" else '{\n  "records": [')
+
+    def rows(self, rows) -> None:
+        text = self.axis_text
+        if self.fmt == "csv":
+            self.fh.write("".join(
+                f"{text(x1)},{text(x2)},{n},{g:.12g},{_BOOL_TEXT[h]},{_BOOL_TEXT[f]}\n"
+                for x1, x2, n, g, h, f in rows
+            ))
+            return
+        records = ",\n".join(
+            _JSON_RECORD.format(text(x1), text(x2), n, _float_text(g, "json"), _BOOL_TEXT[h], _BOOL_TEXT[f])
+            for x1, x2, n, g, h, f in rows
+        )
+        if records:
+            self.fh.write(self.sep + records)
+            self.sep = ",\n"
+
+    def end(self, summary: dict) -> None:
+        if self.fmt == "json":
+            close = "]" if self.sep == "\n" else "\n  ]"  # json.dumps writes no records as []
+            self.fh.write(close + ',\n  "summary": ' + json_dumps(summary).replace("\n", "\n  ") + "\n}\n")
+
+
+def _open(config: ScanConfig):
+    return open(config.out_path, "w", encoding="utf-8", newline="\n")
+
+
+def write_scan(config: ScanConfig) -> dict:
+    """Run the sweep and write its output file as each chunk finishes; the summary.
+
+    The file is opened (created or truncated) before the first grid point, so
+    an unwritable path raises OSError at once. A sweep that fails leaves it
+    empty. Bytes equal those of write_records(*run_scan(config), config).
+    """
+    texts = {x: _float_text(x, config.fmt) for x in grid_values(config.grid_n)}
+    with _open(config) as fh:
+        try:
+            out = _Writer(fh, config.fmt, texts.__getitem__)
+            summary = _sweep(config, lambda columns: out.rows(zip(*columns)))
+            out.end(summary)
+        except BaseException:
+            fh.seek(0)
+            fh.truncate()
+            raise
+    return summary
 
 
 def write_records(records, summary, config: ScanConfig) -> None:
     """Write the scan output file (CSV rows or a JSON document), LF-terminated."""
-    path = Path(config.out_path)
-    if config.fmt == "csv":
-        lines = [CSV_HEADER]
-        for r in records:
-            lines.append(
-                f"{r.x1:.12g},{r.x2:.12g},{r.n},{r.gram_residual:.12g},"
-                f"{str(r.h2_found).lower()},{str(r.forbidden).lower()}"
-            )
-        path.write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")
-    else:
-        from .core import json_dumps
-
-        doc = {"records": [r.to_obj() for r in records], "summary": summary}
-        path.write_text(json_dumps(doc) + "\n", encoding="utf-8", newline="\n")
+    with _open(config) as fh:
+        out = _Writer(fh, config.fmt, lambda x: _float_text(x, config.fmt))
+        out.rows((r.x1, r.x2, r.n, r.gram_residual, r.h2_found, r.forbidden) for r in records)
+        out.end(summary)
 
 
 def summary_line(summary: dict) -> str:

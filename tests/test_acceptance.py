@@ -20,7 +20,6 @@ from chm import (
     count_real_entries,
     exclusion_report,
     f_factor,
-    f_factor_alt,
     family_h,
     FamilyPoint,
     find_3x3_sub_chms,
@@ -31,7 +30,7 @@ from chm import (
     run_scan,
     ScanConfig,
 )
-from util import NATURAL_PAIRING, random_point, rng
+from util import NATURAL_PAIRING, f_factor_alt, random_point, rng
 
 
 def report(criterion, ok, detail):

@@ -1,3 +1,4 @@
+import itertools
 import json
 from pathlib import Path
 
@@ -5,8 +6,10 @@ import numpy as np
 import pytest
 
 import chm.cli
+import chm.families
 from chm import EquivalenceWitness, apply_witness, json_dumps, matrix_to_obj, named
 from chm.cli import main
+from chm.scan import _CHUNK
 from util import straddling_d0
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
@@ -339,24 +342,38 @@ def test_scan_json_format(capsys, tmp_path):
 
 
 def test_scan_unwritable_path(capsys, monkeypatch, tmp_path):
-    sweeps = []
-    monkeypatch.setattr(chm.cli, "run_scan", lambda config: sweeps.append(config))
-    code, _, _ = run(capsys, "scan", "--grid", "2", "--out", str(tmp_path / "no" / "dir" / "x.csv"))
-    assert code == 5
-    assert sweeps == []
+    calls = []
+    monkeypatch.setattr(chm.families, "family_h", calls.append)
+    out_path = tmp_path / "no" / "dir" / "x.csv"
+    for fmt in ("csv", "json"):
+        code, _, _ = run(capsys, "scan", "--grid", "2", "--out", str(out_path), "--format", fmt)
+        assert code == 5
+    assert calls == []
 
 
 def test_scan_failing_sweep_leaves_empty_file(capsys, monkeypatch, tmp_path):
-    def failing(config):
-        raise ValueError("sweep failed")
+    # The sweep fails in its second chunk, or in its eighth and last, after more
+    # rows than one write buffer holds have reached the file.
+    real = chm.families.family_h
+    out_path = tmp_path / "scan.out"
+    for chunk, fmt in itertools.product((2, 8), ("csv", "json")):
+        out_path.write_text("stale\n", encoding="utf-8")
+        calls, written = [], []
 
-    out_path = tmp_path / "scan.csv"
-    out_path.write_text("stale\n", encoding="utf-8")
-    monkeypatch.setattr(chm.cli, "run_scan", failing)
-    code, out, err = run(capsys, "scan", "--grid", "2", "--out", str(out_path))
-    assert code == 3
-    assert out == "" and "sweep failed" in err
-    assert out_path.read_bytes() == b""
+        def failing(point):
+            calls.append(point)
+            if len(calls) > (chunk - 1) * _CHUNK:
+                written.append(out_path.stat().st_size)
+                raise ValueError("sweep failed")
+            return real(point)
+
+        monkeypatch.setattr(chm.families, "family_h", failing)
+        code, out, err = run(capsys, "scan", "--grid", "16", "--out", str(out_path), "--format", fmt)
+        assert code == 3
+        assert out == "" and "sweep failed" in err
+        assert out_path.read_bytes() == b""
+        assert len(calls) == (chunk - 1) * _CHUNK + 1
+        assert written[0] > 0 or chunk == 2
 
 
 @pytest.mark.parametrize(

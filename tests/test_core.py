@@ -173,15 +173,13 @@ def test_is_chm_validates_its_input_once(monkeypatch, shape):
 def test_public_checks_validate_each_input_once(monkeypatch, check, names):
     # A registry array was validated at import and its prepared object is not
     # validated again; a writable copy of it is a new input, validated once.
-    # dephase and is_chm keep nothing and validate every input directly.
-    direct = check in (chm.dephase, chm.is_chm)
     calls = []
     validate = chm.core._as_stack
     for module in (chm, chm.core, chm.census, chm.equivalence, chm.mub, chm.scan):
         if hasattr(module, "_as_stack"):
             monkeypatch.setattr(module, "_as_stack", lambda m: calls.append(1) or validate(m))
     assert check(*(named(name).matrix for name in names)) is not None
-    assert len(calls) == (len(names) if direct else 0)
+    assert len(calls) == 0
     calls.clear()
     assert check(*(np.array(named(name).matrix) for name in names)) is not None
     assert len(calls) == len(names)

@@ -17,7 +17,6 @@ from chm import (
     UnknownNameError,
     census_2x2,
     f_factor,
-    f_factor_alt,
     family_h,
     forbidden_count_check,
     gram_residual,
@@ -28,9 +27,11 @@ from chm import (
     registry_names,
     run_scan,
 )
+from chm.census import _residual_table
+from chm.core import DEFAULT_TOL
 from chm.families import _f, _f_parts, _family_stack
 from chm.scan import grid_values
-from util import NATURAL_PAIRING, family_h_oracle, random_point, rng
+from util import NATURAL_PAIRING, PAIRS, f_factor_alt, family_h_oracle, random_point, rng
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
 
@@ -161,13 +162,15 @@ def test_family_stack_stacks_family_h_exactly():
 
 
 def test_family_h_matches_nested_row_oracle():
-    points = [(x1, x2) for x1 in grid_values(64) for x2 in grid_values(64)] + NEAR_CORNER
+    # Bit for bit (signed zeros too): each entry is the oracle's float operation.
+    points = [(x1, x2) for n in (2, 3, 16, 64) for x1 in grid_values(n) for x2 in grid_values(n)]
+    points += NEAR_CORNER
     assert (math.pi / 2, math.pi / 2) in points
     gen = rng(73)
-    points += [(p.x1, p.x2) for p in (random_point(gen) for _ in range(200))]
+    points += [(p.x1, p.x2) for p in (random_point(gen) for _ in range(2000))]
     for x1, x2 in points:
         p = FamilyPoint(x1, x2)
-        assert np.array_equal(family_h(p), family_h_oracle(p)), (x1, x2)
+        assert family_h(p).tobytes() == family_h_oracle(p).tobytes(), (x1, x2)
 
 
 def _bits(z):
@@ -216,6 +219,40 @@ def test_family_counts_are_odd_and_at_least_seventeen(eps):
     gen = rng(97)
     counts += [census_2x2(family_h(random_point(gen)), tol).count for _ in range(200)]
     assert all(n % 2 == 1 and n >= 17 for n in counts), sorted(set(counts))
+
+
+# C, 0-based: swaps the rows, and the columns, of each pair (1,2), (3,4), (5,6).
+_C = [1, 0, 3, 2, 5, 4]
+
+
+def _orbits():
+    # The orbits of the 225 (row pair, column pair) positions under {1, S, C, SC},
+    # each a permutation of rows and columns alike.
+    index = {pair: k for k, pair in enumerate(PAIRS)}
+    group = [list(range(6)), _S, _C, [_S[i] for i in _C]]
+
+    def moved(perm, pair):
+        return index[tuple(sorted(perm[i] for i in PAIRS[pair]))]
+
+    positions = [(p, q) for p in range(15) for q in range(15)]
+    return {frozenset((moved(g, p), moved(g, q)) for g in group) for p, q in positions}
+
+
+def test_family_residuals_fall_into_the_symmetry_orbits():
+    # 17 residuals vanish identically: 8 orbits of 2 and a fixed point. The
+    # other 208 form 50 orbits of 4 and 4 of 2, and within an orbit they agree
+    # to 4 ulp of the largest residual, 2.
+    gen = rng(101)
+    tables = np.array([_residual_table(family_h(random_point(gen)), DEFAULT_TOL)[0] for _ in range(50)])
+    orbits = _orbits()
+    vanishing = [o for o in orbits if all((tables[:, p, q] < 1e-13).all() for p, q in o)]
+    rest = [o for o in orbits if o not in vanishing]
+    assert sum(map(len, vanishing)) == 17
+    assert sorted(map(len, vanishing)) == [1] + [2] * 8
+    assert sorted(map(len, rest)) == [2] * 4 + [4] * 50
+    for orbit in rest:
+        values = np.array([tables[:, p, q] for p, q in orbit])
+        assert (values.max(axis=0) - values.min(axis=0)).max() <= 4 * np.spacing(2.0), sorted(orbit)
 
 
 def test_family_reducible_at_random_points():

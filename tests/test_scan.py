@@ -27,18 +27,24 @@ from chm import (
     run_scan,
     scan_point,
 )
-from chm.census import _residual_table
-from chm.core import DEFAULT_TOL
+from chm.census import _pair_residuals, _residual_table
+from chm.core import DEFAULT_TOL, _gram_residuals, _Workspace
 from chm.families import _family_stack
-from chm.scan import _CHUNK, _scan_stack
-from util import brute_force_census_2x2, brute_force_h2
+from chm.scan import _CHUNK, _scan_stack, write_records, write_scan
+from util import (
+    brute_force_census_2x2,
+    brute_force_h2,
+    gram_residuals_oracle,
+    pair_residuals_oracle,
+    scan_file_oracle,
+)
 
 
-# Grid 6 fills whole chunks; grids 8 and 10 end in a partial one. Each spans
-# several chunks.
-@pytest.mark.parametrize("grid_n", [6, 8, 10])
+# Grids 8 and 16 fill whole chunks; grids 6 and 10 end in a partial one. Each
+# spans more than one chunk, and grid 16 eight.
+@pytest.mark.parametrize("grid_n", [6, 8, 10, 16])
 def test_run_scan_matches_scalar_oracles(grid_n):
-    assert (grid_n**2 % _CHUNK == 0) == (grid_n == 6) and grid_n**2 > 2 * _CHUNK
+    assert (grid_n**2 % _CHUNK == 0) == (grid_n in (8, 16)) and grid_n**2 > _CHUNK
     records, summary = run_scan(ScanConfig(grid_n=grid_n, out_path="unused"))
     expected = []
     for x1 in grid_values(grid_n):
@@ -122,9 +128,9 @@ def test_scan_computes_gram_residuals_once_per_chunk(monkeypatch):
     calls = []
     real = chm.core._gram_residuals
 
-    def counting(M):
+    def counting(M, work=None):
         calls.append(len(M))
-        return real(M)
+        return real(M, work)
 
     for module in (chm.core, chm.census, chm.scan, chm.equivalence):
         if hasattr(module, "_gram_residuals"):
@@ -134,6 +140,49 @@ def test_scan_computes_gram_residuals_once_per_chunk(monkeypatch):
     assert calls == [_CHUNK] * whole + [rest] * (rest > 0)
     first = records[:_CHUNK]
     assert [r.gram_residual for r in first] == real(_family_stack(*zip(*[(r.x1, r.x2) for r in first]))).tolist()
+
+
+def test_workspace_kernels_match_fresh_arrays_bit_for_bit():
+    # One workspace through chunks that shrink and grow: every table, gap and
+    # Gram residual equals the fresh-array kernels' and the oracles', bit for bit.
+    xs = grid_values(64)
+    points = [(x1, x2) for x1 in xs for x2 in xs]
+    work = _Workspace()
+    start = 0
+    for size in [_CHUNK, 1, 5, 12, _CHUNK - 1, _CHUNK, 7] * 20:
+        S = _family_stack(*zip(*points[start : start + size]))
+        start += size
+        table, gap = _pair_residuals(S, work)
+        fresh, fresh_gap = _pair_residuals(S)
+        oracle, oracle_gap = pair_residuals_oracle(S)
+        assert table.tobytes() == fresh.tobytes() == oracle.tobytes()
+        assert gap == fresh_gap == oracle_gap
+        grams = _gram_residuals(S, work)
+        assert grams.tobytes() == _gram_residuals(S).tobytes() == gram_residuals_oracle(S).tobytes()
+
+
+# Grids 2 to 5 fit one partial chunk, 8 and 16 fill two and eight, and 10
+# ends three whole chunks with a partial one.
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("grid_n", [2, 3, 5, 8, 10, 16])
+def test_write_scan_writes_the_bytes_of_run_scan(tmp_path, grid_n, fmt):
+    streamed = ScanConfig(grid_n, tmp_path / "streamed", fmt=fmt)
+    whole = ScanConfig(grid_n, tmp_path / "whole", fmt=fmt)
+    summary = write_scan(streamed)
+    records, expected = run_scan(whole)
+    write_records(records, expected, whole)
+    assert summary == expected
+    data = streamed.out_path.read_bytes()
+    assert data == whole.out_path.read_bytes()
+    assert data == scan_file_oracle(records, summary, fmt).encode()
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_write_records_of_no_records_matches_the_oracle(tmp_path, fmt):
+    config = ScanConfig(2, tmp_path / "empty", fmt=fmt)
+    summary = {"points": 0, "minN": 0, "maxN": 0, "forbiddenCount": 0}
+    write_records([], summary, config)
+    assert config.out_path.read_bytes() == scan_file_oracle([], summary, fmt).encode()
 
 
 def test_residual_table_rejects_a_stack_with_one_non_chm_member():
@@ -167,6 +216,36 @@ def test_scan_config_rejects_a_tol_that_is_not_a_tolerance(tol):
     with pytest.raises(TypeError, match="Tolerance"):
         ScanConfig(16, "unused", tol=tol)
     assert ScanConfig(16, "unused", tol=Tolerance(1e-6)).tol.eps == 1e-6
+
+
+_SCAN_MAXRSS = """
+import resource, sys
+from chm.cli import main
+main(["scan", "--grid", sys.argv[1], "--out", sys.argv[2]])
+print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)
+"""
+
+
+def _scan_maxrss(grid_n, out_path):
+    # Peak RSS (kB) of one `chm scan` in a fresh process.
+    package_root = str(Path(chm.__file__).resolve().parent.parent)
+    out = subprocess.run(
+        [sys.executable, "-c", _SCAN_MAXRSS, str(grid_n), str(out_path)],
+        capture_output=True,
+        text=True,
+        check=True,
+        env={**os.environ, "PYTHONPATH": package_root},
+    )
+    return int(out.stdout.splitlines()[-1])
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="ru_maxrss in kB as Linux reports it")
+def test_scan_peak_memory_does_not_grow_with_the_grid(tmp_path):
+    # 64x more grid points, within 2 MB of the same peak: rows are written as
+    # each chunk finishes, and no per-point record is kept.
+    small = _scan_maxrss(64, tmp_path / "64.csv")
+    large = _scan_maxrss(512, tmp_path / "512.csv")
+    assert large - small <= 2048, (small, large)
 
 
 _SCAN_FAULTS = """

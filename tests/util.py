@@ -7,8 +7,8 @@ import math
 import numpy as np
 
 from chm import DEFAULT_TOL, EquivalenceWitness, FamilyPoint, H2Structure, Tolerance
-from chm import RealSubmatrixReport, SubmatrixLoc, as_matrix, dephase, is_sub_chm_2x2, named
-from chm.errors import InvalidMatrixError, NonSquareError
+from chm import RealSubmatrixReport, SubmatrixLoc, as_matrix, dephase, is_sub_chm_2x2, json_dumps, named
+from chm.errors import DomainError, InvalidMatrixError, NonSquareError
 from chm.families import _f
 
 NATURAL_PAIRING = ((1, 2), (3, 4), (5, 6))
@@ -138,6 +138,63 @@ def residual_table_oracle(S):
     c = S[:, r2[:, None], r1[None, :]]
     d = S[:, r2[:, None], r2[None, :]]
     return np.abs(a * d + b * c)
+
+
+def pair_residuals_oracle(S):
+    """(B, 15, 15) residuals |ad + bc| of a (B, 6, 6) stack and their largest gap
+    to |a conj(c) + b conj(d)|, in fresh arrays from fancy indexing: the row-pair
+    kernel's arithmetic before it could write into a workspace."""
+    r1, r2 = np.array(PAIRS).T
+    A, B = S[:, r1], S[:, r2]
+    ad = A[..., r1]
+    ad *= B[..., r2]
+    bc = A[..., r2]
+    bc *= B[..., r1]
+    ad += bc
+    residual = np.abs(ad)
+    Q = A * np.conj(B)
+    alt = Q[..., r1]
+    alt += Q[..., r2]
+    gap = np.abs(alt)
+    gap -= residual
+    return residual, float(np.abs(gap, out=gap).max())
+
+
+def gram_residuals_oracle(S):
+    """Per member of a (B, d, d) stack: the largest |(M M* - d I)_jk|."""
+    d = S.shape[-1]
+    return np.abs(S @ S.conj().transpose(0, 2, 1) - d * np.eye(d)).max(axis=(1, 2))
+
+
+def scan_file_oracle(records, summary, fmt):
+    """A scan file's text built whole: every CSV line joined, or json_dumps of
+    the whole {"records": ..., "summary": ...} document."""
+    if fmt == "json":
+        return json_dumps({"records": [r.to_obj() for r in records], "summary": summary}) + "\n"
+    lines = ["x1,x2,N,gram_residual,h2_found,forbidden"] + [
+        f"{r.x1:.12g},{r.x2:.12g},{r.n},{r.gram_residual:.12g},"
+        f"{str(r.h2_found).lower()},{str(r.forbidden).lower()}"
+        for r in records
+    ]
+    return "\n".join(lines) + "\n"
+
+
+def f_factor_alt(x1, x2):
+    """Same value as f_factor, computed along the algebraic route in
+    z1 = e^{i x1}, z2 = e^{i x2}:
+
+    (1 - (1-z1)(1-z2)/2) (1/2 + i sqrt(1/(1 - (z1-z1*)(z2-z2*)/4) - 1/4))
+    """
+    z1 = cmath.exp(1j * x1)
+    z2 = cmath.exp(1j * x2)
+    den = 1.0 - (z1 - z1.conjugate()) * (z2 - z2.conjugate()) / 4.0
+    if abs(den) <= 1e-12:
+        raise DomainError(f"vanishing denominator at ({x1!r}, {x2!r})")
+    rad = 1.0 / den - 0.25
+    if rad.real < -1e-12:
+        raise DomainError(f"negative radicand {rad!r} at ({x1!r}, {x2!r})")
+    first = 1.0 - 0.5 * (1.0 - z1) * (1.0 - z2)
+    return first * (0.5 + 1j * cmath.sqrt(rad))
 
 
 def family_h_oracle(point):
