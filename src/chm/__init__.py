@@ -19,12 +19,10 @@ from .core import (
     as_matrix,
     gram_residual,
     is_chm,
-    is_unimodular,
     json_dumps,
     loads_matrix,
     matrix_from_obj,
     matrix_to_obj,
-    unimodularity_residual,
 )
 from .equivalence import (
     EquivalenceWitness,
@@ -59,7 +57,7 @@ from .families import (
     registry_entries,
     registry_names,
 )
-from .mub import ExclusionReport, MuVerdict, RuleHit, exclusion_report, mu_pair, mu_set
+from .mub import ExclusionReport, MuVerdict, RuleHit, exclusion_report, mu_pair
 from .scan import CensusRecord, ScanConfig, grid_values, run_scan, scan_point
 
 __version__ = "0.1.0"

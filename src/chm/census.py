@@ -128,17 +128,15 @@ def is_sub_chm_2x2(a, b, c, d, tol: Tolerance = DEFAULT_TOL) -> CheckResult:
     return CheckResult(residual <= tol.eps, residual)
 
 
-def _residual_table(M, tol: Tolerance) -> np.ndarray:
-    """(B, 15, 15) 2x2 residuals |ad + bc| of a (B, 6, 6) stack of CHMs.
+def _residual_table(P: _Prepared, tol: Tolerance) -> np.ndarray:
+    """(B, 15, 15) 2x2 residuals |ad + bc| of a prepared 6x6 matrix or (B, 6, 6) stack.
 
-    Entry [m, p, q] belongs to member m, row pair p and column pair q. Every
-    2x2 check reads these tables. The caller passes a finite complex stack
-    (one matrix is a stack of one), or a prepared matrix, which keeps its CHM
-    residual and table for every later call; the table checks the rest: every
-    member is a 6x6 CHM, and |a conj(c) + b conj(d)| agrees within 10*eps on
-    all 225 submatrices of every member.
+    Entry [m, p, q] belongs to member m, row pair p and column pair q (one
+    matrix is a stack of one). Every 2x2 check reads these tables, and P
+    keeps its CHM residual and table for every later call. The table checks
+    that every member is a 6x6 CHM, and that |a conj(c) + b conj(d)| agrees
+    within 10*eps on all 225 submatrices of every member.
     """
-    P = M if isinstance(M, _Prepared) else _Prepared(M)
     shape = P.matrix.shape[-2:]
     if shape != (6, 6):
         raise DimensionMismatchError(f"expected a 6x6 matrix, got {shape}")

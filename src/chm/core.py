@@ -1,4 +1,4 @@
-"""Complex matrix primitives: unimodularity and Hadamard checks, JSON I/O.
+"""Complex matrix primitives: Hadamard checks, prepared matrices, JSON I/O.
 
 Matrices are numpy complex128 arrays internally. All user-facing indices
 (JSON, location reports, witnesses) are 1-based, like the h_jk convention
@@ -73,23 +73,9 @@ def _as_stack(entries) -> np.ndarray:
     return m.reshape(-1, *m.shape[-2:])
 
 
-def is_unimodular(z, tol: Tolerance = DEFAULT_TOL) -> CheckResult:
-    """Check |z| == 1 within tolerance; residual is | |z| - 1 |."""
-    z = complex(z)
-    if not (math.isfinite(z.real) and math.isfinite(z.imag)):
-        raise InvalidMatrixError("value must be finite")
-    residual = abs(abs(z) - 1.0)
-    return CheckResult(residual <= tol.eps, residual)
-
-
 def _unimodularity(stack: np.ndarray) -> float:
     # Largest | |entry| - 1 | over a validated stack.
     return float(np.abs(np.abs(stack) - 1.0).max())
-
-
-def unimodularity_residual(M) -> float:
-    """Largest | |entry| - 1 | over the matrix, or over every member of a stack."""
-    return _unimodularity(_as_stack(M))
 
 
 def _gram_residuals(M: np.ndarray, work=None) -> np.ndarray:

@@ -207,9 +207,11 @@ def are_equivalent(A, B, tol: Tolerance = DEFAULT_TOL, timeout: float | None = N
     witness that check accepts; the only acceptance is that the witness
     reproduces A within eps entrywise. Its phases are fitted to A's first
     row and column, and, when that fit misses, refitted to every entry.
-    Raises SearchTimeoutError if a time budget (seconds) is given and hit;
-    its `examined` is the lexicographic rank of the sigma reached. The
-    budget must be None, or finite and non-negative (else ValueError).
+    Raises SearchTimeoutError if a time budget (seconds) is given and hit.
+    The budget is read before each screen block, each pivot row's row
+    matches and each node of the walk; `examined` is the lexicographic rank
+    of the sigma reached. The budget must be None, or finite and
+    non-negative (else ValueError).
     """
     if timeout is not None and not 0.0 <= timeout < math.inf:
         raise ValueError(f"timeout must be finite and >= 0 seconds, got {timeout!r}")
@@ -236,13 +238,14 @@ def are_equivalent(A, B, tol: Tolerance = DEFAULT_TOL, timeout: float | None = N
     # A registry matrix keeps its screen, row signatures of every form included,
     # when one block holds every pivot row (d**4 <= 1296). Any other B is
     # screened a block at a time, and only the forms the screen keeps are signed.
-    if block >= d and _KEPT.get(id(B)) is PB:
-        screens = [(0, PB.cached(_screen))]
-    else:
-        screens = ((s0, _screen(B, slice(s0, s0 + block), False)) for s0 in range(0, d, block))
-    for s0, (F, sig_f, rows_f) in screens:
+    # The budget is read before each block and before each pivot row's matches.
+    kept = block >= d and _KEPT.get(id(B)) is PB
+    for s0 in range(0, d, block):
+        _check_deadline(deadline, (s0,), d)
+        F, sig_f, rows_f = PB.cached(_screen) if kept else _screen(B, slice(s0, s0 + block), False)
         close = np.abs(sig_f - sig_a).max(axis=(-2, -1)) <= atol
         for i in np.flatnonzero(close.any(axis=1)).tolist():
+            _check_deadline(deadline, (s0 + i,), d)
             ts = np.flatnonzero(close[i]).tolist()
             # match[n, j, k]: under pivot (s0 + i, ts[n]), row j of the form may be
             # row k of Ad. Built `block` pivots at a time to bound memory as F is.
@@ -285,6 +288,16 @@ def _screen(B, S=slice(None), rows=True):
     return F, _signature(F), _signature(F[..., None, :]) if rows else None
 
 
+def _check_deadline(deadline, sigma, d):
+    # Past the deadline (if any), raises SearchTimeoutError; its `examined` is the
+    # lexicographic rank of the smallest completion of the row prefix sigma,
+    # from its Lehmer code.
+    if deadline is not None and time.monotonic() > deadline:
+        rank = sum((j - sum(p < j for p in sigma[:k])) * math.factorial(d - 1 - k)
+                   for k, j in enumerate(sigma))
+        raise SearchTimeoutError(examined=rank, total=math.factorial(d))
+
+
 def _walk(forms, Ad, s, match, atol, deadline):
     # Yields in lexicographic order each (sigma, tau), sigma[0] = s, under which a
     # form (B dephased at pivot (s, tau[0])) matches Ad within atol. Each node of
@@ -294,11 +307,7 @@ def _walk(forms, Ad, s, match, atol, deadline):
     stack = [((s,), [n for n in range(len(forms)) if cand[0][s][n]])]
     while stack:
         sigma, live = stack.pop()
-        if deadline is not None and time.monotonic() > deadline:
-            # Lexicographic rank of sigma's smallest completion, from its Lehmer code.
-            rank = sum((j - sum(p < j for p in sigma[:k])) * math.factorial(d - 1 - k)
-                       for k, j in enumerate(sigma))
-            raise SearchTimeoutError(examined=rank, total=math.factorial(d))
+        _check_deadline(deadline, sigma, d)
         k = len(sigma)
         if k < d:  # children pushed largest row first, so the smallest is walked first
             children = ((sigma + (j,), [n for n in live if cand[k][j][n]])

@@ -7,7 +7,6 @@ plain orthonormal basis all use the same unbiasedness threshold.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -73,18 +72,6 @@ def mu_pair(F, G, tol: Tolerance = DEFAULT_TOL) -> MuVerdict:
     gram = F.cached(_unit_columns).conj().T @ G.cached(_unit_columns)
     deviation = d * float(np.abs(np.abs(gram) - 1.0 / math.sqrt(d)).max())
     return MuVerdict(ok=deviation <= tol.eps * math.sqrt(d), max_deviation=deviation)
-
-
-def mu_set(matrices, tol: Tolerance = DEFAULT_TOL) -> MuVerdict:
-    """Pairwise mutual unbiasedness of a collection; worst pair reported."""
-    mats = [_prepare(M) for M in matrices]
-    ok = True
-    worst = 0.0
-    for F, G in itertools.combinations(mats, 2):
-        verdict = mu_pair(F, G, tol)
-        ok = ok and verdict.ok
-        worst = max(worst, verdict.max_deviation)
-    return MuVerdict(ok=ok, max_deviation=worst)
 
 
 def exclusion_report(H, tol: Tolerance = DEFAULT_TOL) -> ExclusionReport:

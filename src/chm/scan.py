@@ -94,14 +94,9 @@ def _records(columns) -> list[CensusRecord]:
     return [CensusRecord(*row) for row in zip(*columns)]
 
 
-def _scan_stack(x1s, x2s, eps: float) -> list[CensusRecord]:
-    # Census records for the points (x1s[m], x2s[m]), from one stack.
-    return _records((x1s, x2s, *_census_columns(x1s, x2s, eps)))
-
-
 def scan_point(x1: float, x2: float, eps: float = DEFAULT_TOL.eps) -> CensusRecord:
     """Census record for one family point."""
-    return _scan_stack([x1], [x2], eps)[0]
+    return _records(([x1], [x2], *_census_columns([x1], [x2], eps)))[0]
 
 
 def _chunks(config: ScanConfig):

@@ -1,4 +1,5 @@
 import itertools
+import math
 import types
 
 import numpy as np
@@ -536,3 +537,27 @@ def test_a_certified_miss_dephases_nothing(monkeypatch):
     assert are_equivalent(F6, D0) is None
     assert are_equivalent(D0, F6, timeout=0.0) is None
     assert calls == []
+
+
+@pytest.mark.parametrize("d", [12, 32, 64])
+def test_the_budget_is_read_before_each_screen_block_and_pivot_row(monkeypatch, d):
+    # With no budget left the search raises before B's first screen block;
+    # with a clock that advances one second per reading, a budget of one
+    # second builds that block and raises before its first pivot row's matches.
+    calls = {"_screen": 0, "_walk": 0}
+    for name in calls:
+        build = getattr(chm.equivalence, name)
+        monkeypatch.setattr(chm.equivalence, name,
+                            lambda *a, name=name, build=build: calls.update({name: calls[name] + 1}) or build(*a))
+    F = _fourier(d)
+    image = apply_witness(F, random_witness(rng(91), d=d))
+    with pytest.raises(SearchTimeoutError) as info:
+        are_equivalent(image, F, timeout=0.0)
+    assert (info.value.examined, info.value.total) == (0, math.factorial(d))
+    assert calls == {"_screen": 0, "_walk": 0}
+    clock = itertools.count()
+    monkeypatch.setattr(chm.equivalence, "time", types.SimpleNamespace(monotonic=lambda: next(clock)))
+    with pytest.raises(SearchTimeoutError) as info:
+        are_equivalent(image, F, timeout=1.0)
+    assert info.value.examined == 0  # every pivot of F is kept: row 0 is the first
+    assert calls == {"_screen": 1, "_walk": 0}

@@ -28,7 +28,7 @@ from chm import (
     run_scan,
 )
 from chm.census import _residual_table
-from chm.core import DEFAULT_TOL
+from chm.core import DEFAULT_TOL, _Prepared
 from chm.families import _f, _f_parts, _family_stack
 from chm.scan import grid_values
 from util import NATURAL_PAIRING, PAIRS, f_factor_alt, family_h_oracle, random_point, rng
@@ -243,7 +243,7 @@ def test_family_residuals_fall_into_the_symmetry_orbits():
     # other 208 form 50 orbits of 4 and 4 of 2, and within an orbit they agree
     # to 4 ulp of the largest residual, 2.
     gen = rng(101)
-    tables = np.array([_residual_table(family_h(random_point(gen)), DEFAULT_TOL)[0] for _ in range(50)])
+    tables = np.array([_residual_table(_Prepared(family_h(random_point(gen))), DEFAULT_TOL)[0] for _ in range(50)])
     orbits = _orbits()
     vanishing = [o for o in orbits if all((tables[:, p, q] < 1e-13).all() for p, q in o)]
     rest = [o for o in orbits if o not in vanishing]

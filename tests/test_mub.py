@@ -18,7 +18,6 @@ from chm import (
     h2_block_structure,
     is_chm,
     mu_pair,
-    mu_set,
     named,
 )
 from util import noisy_image, random_phases, random_witness, rng
@@ -80,25 +79,6 @@ def test_mu_pair_invariant_under_column_factors():
             col_phases=random_phases(gen),
         )
         assert mu_pair(F6, apply_witness(D0, w)).max_deviation == pytest.approx(base, abs=1e-12)
-
-
-def test_mu_set():
-    assert mu_set([np.eye(2), F2]).ok
-    assert not mu_set([named("F6").matrix, named("F6").matrix]).ok
-    singleton = mu_set([named("F6").matrix])
-    assert singleton.ok and singleton.max_deviation == 0.0
-
-
-@pytest.mark.usefixtures("fresh_recent")
-def test_mu_set_validates_each_matrix_once(monkeypatch):
-    # Registry arrays were validated at import; writable copies once each.
-    calls = []
-    validate = chm.core._as_stack
-    monkeypatch.setattr(chm.core, "_as_stack", lambda m: calls.append(1) or validate(m))
-    assert not mu_set([named(name).matrix for name in ("F6", "D0", "S6")]).ok
-    assert len(calls) == 0
-    assert not mu_set([np.array(named(name).matrix) for name in ("F6", "D0", "S6")]).ok
-    assert len(calls) == 3
 
 
 def test_exclusions_m1():

@@ -28,9 +28,9 @@ from chm import (
     scan_point,
 )
 from chm.census import _pair_residuals, _residual_table
-from chm.core import DEFAULT_TOL, _gram_residuals, _Workspace
+from chm.core import DEFAULT_TOL, _gram_residuals, _Prepared, _Workspace
 from chm.families import _family_stack
-from chm.scan import _CHUNK, _scan_stack, write_records, write_scan
+from chm.scan import _CHUNK, _census_columns, _records, write_records, write_scan
 from util import (
     brute_force_census_2x2,
     brute_force_h2,
@@ -71,7 +71,7 @@ def test_scan_stack_covers_the_grid_corner(grid_n):
     # the last 4x4 grid points lie within 3*pi/grid_n of x1 = x2 = pi/2
     corner = grid_values(grid_n)[-4:]
     x1s, x2s = zip(*[(x1, x2) for x1 in corner for x2 in corner])
-    records = _scan_stack(x1s, x2s, DEFAULT_TOL.eps)
+    records = _records((x1s, x2s, *_census_columns(x1s, x2s, DEFAULT_TOL.eps)))
     assert [(r.x1, r.x2) for r in records] == list(zip(x1s, x2s))
     assert all(r.h2_found and not r.forbidden for r in records)
 
@@ -187,10 +187,10 @@ def test_write_records_of_no_records_matches_the_oracle(tmp_path, fmt):
 
 def test_residual_table_rejects_a_stack_with_one_non_chm_member():
     stack = np.array([named("M1").matrix, named("S6").matrix, named("F6").matrix])
-    assert _residual_table(stack, DEFAULT_TOL).shape == (3, 15, 15)
+    assert _residual_table(_Prepared(stack), DEFAULT_TOL).shape == (3, 15, 15)
     stack[2, 4, 4] = -stack[2, 4, 4]
     with pytest.raises(NotCHMError):
-        _residual_table(stack, DEFAULT_TOL)
+        _residual_table(_Prepared(stack), DEFAULT_TOL)
 
 
 def test_family_stack_rejects_one_point_out_of_domain():

@@ -215,6 +215,41 @@ def family_h_oracle(point):
     return np.array(rows, dtype=np.complex128)
 
 
+def random_h2_reducible(gen, n):
+    """(n, 6, 6) H2-reducible CHMs: nine natural blocks [a b; c -bc/a] from
+    random phases, solved for the 24 real cross-pair Gram equations (rows of
+    different natural pairs orthogonal) by minimum-norm Gauss-Newton steps.
+
+    Column phases leave the Gram matrix unchanged, so the 24 x 27 Jacobian
+    has rank at most 21; a 1e-12 ridge keeps the batched solve regular. The
+    steps are chaotic: which solution a start reaches depends on rounding.
+    After 60 steps 3 of 1000 starts had not converged; after 120, 0 of 5000.
+    """
+    # Entry (j, m) is sign[j, m] * exp(i * L[j, m] . theta) for 27 phases theta:
+    # block (P, Q) takes a, b, c = exp(i theta[9P + 3Q + (0, 1, 2)]).
+    L, sign = np.zeros((6, 6, 27)), np.ones((6, 6))
+    for P, Q in itertools.product(range(3), repeat=2):
+        a, b, c = 9 * P + 3 * Q + np.arange(3)
+        rows, cols = slice(2 * P, 2 * P + 2), slice(2 * Q, 2 * Q + 2)
+        L[rows, cols, a] = [[1, 0], [0, -1]]
+        L[rows, cols, b] = [[0, 1], [0, 1]]
+        L[rows, cols, c] = [[0, 0], [1, 1]]
+        sign[2 * P + 1, 2 * Q + 1] = -1
+    j, k = np.array([(j, k) for j, k in PAIRS if j // 2 != k // 2]).T  # 12 row pairs
+    D = L[j] - L[k]  # [row pair, column, phase]: the exponent of each Gram term
+    theta = gen.uniform(0, 2 * np.pi, size=(n, 27))
+    matrices = lambda: sign * np.exp(1j * np.einsum("np,jmp->njm", theta, L))
+    for _ in range(120):
+        H = matrices()
+        terms = H[:, j] * H[:, k].conj()  # [member, row pair, column]
+        G, dG = terms.sum(-1), 1j * np.einsum("nem,emp->nep", terms, D)
+        r = np.concatenate([G.real, G.imag], axis=1)
+        J = np.concatenate([dG.real, dG.imag], axis=1)
+        y = np.linalg.solve(J @ J.transpose(0, 2, 1) + 1e-12 * np.eye(24), r[..., None])
+        theta -= (J.transpose(0, 2, 1) @ y)[..., 0]
+    return matrices()
+
+
 def looped_census_3x3(M, tol=DEFAULT_TOL):
     """3x3 sub-CHM locations from one Gram product per submatrix."""
     found = []
