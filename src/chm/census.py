@@ -115,7 +115,7 @@ def is_sub_chm_2x2(a, b, c, d, tol: Tolerance = DEFAULT_TOL) -> CheckResult:
     vals = []
     for v in (a, b, c, d):
         v = complex(v)
-        if abs(abs(v) - 1.0) > tol.eps:
+        if not abs(abs(v) - 1.0) <= tol.eps:  # NaN fails this test too
             raise NotUnimodularError(f"entry {v!r} is not unimodular")
         vals.append(v)
     a, b, c, d = vals

@@ -8,6 +8,7 @@ for matrix entries; row/column 1 is the top-left.
 from __future__ import annotations
 
 import cmath
+import functools
 import json
 import math
 from dataclasses import dataclass
@@ -178,38 +179,28 @@ def _fresh(name, shape, dtype=None):
 # kept for the life of the process (the arrays live as long).
 _KEPT: dict[int, _Prepared] = {}
 
-# The objects of the last few other inputs with d <= 6, keyed by their bytes (which
-# fix d), oldest first. Each holds a read-only copy: an input changed in place is a new key.
-_RECENT: dict[bytes, _Prepared] = {}
-_RECENT_SIZE = 4
-
 
 def _prepare(M) -> _Prepared:
     """M itself if already prepared; else the kept object of a registry array, the
-    recent object of M's content if d <= 6, or a fresh one. Only a new input is
-    validated (as_matrix): a registry array was validated at import, and an exact
-    complex128 d x d array whose bytes are a recent key was validated when that
-    key was made."""
+    recent object of M's content if M is square with d <= 6, or a fresh one. Only
+    content not seen recently is validated (as_matrix): a registry array was
+    validated at import, and recent content when it was first prepared."""
     if isinstance(M, _Prepared):
         return M
     P = _KEPT.get(id(M))
     if P is not None and P.matrix is M:
         return P
-    P = None
-    if (type(M) is np.ndarray and M.dtype == np.complex128 and M.ndim == 2
-            and M.shape[0] == M.shape[1] <= 6):
-        key = M.tobytes()
-        P = _RECENT.pop(key, None)
-    if P is None:
-        M = as_matrix(M)
-        if M.shape[0] > 6:
-            return _Prepared(M)
-        key = M.tobytes()
-        P = _RECENT.pop(key, None) or _Prepared(np.frombuffer(key, np.complex128).reshape(M.shape))
-    _RECENT[key] = P  # newest last
-    for old in list(_RECENT)[:-_RECENT_SIZE]:  # a snapshot: other threads cannot break the loop
-        _RECENT.pop(old, None)
-    return P
+    M = np.asarray(M, np.complex128)
+    if M.ndim != 2 or not M.shape[0] == M.shape[1] <= 6:
+        return _Prepared(as_matrix(M))  # raises unless square with d > 6
+    return _recent(M.tobytes(), M.shape)
+
+
+@functools.lru_cache(maxsize=4)
+def _recent(key: bytes, shape: tuple[int, int]) -> _Prepared:
+    # The object of the last few d <= 6 contents, each on a read-only copy: an
+    # input changed in place is a new key.
+    return _Prepared(as_matrix(np.frombuffer(key, np.complex128).reshape(shape)))
 
 
 # --- JSON wire format -------------------------------------------------------

@@ -4,7 +4,9 @@ import chm.core
 
 
 @pytest.fixture
-def fresh_recent(monkeypatch):
+def fresh_recent():
     """An empty memo of recently prepared inputs for one test, so that what an
     earlier test prepared cannot stand in for a build the test counts."""
-    monkeypatch.setattr(chm.core, "_RECENT", {})
+    chm.core._recent.cache_clear()
+    yield
+    chm.core._recent.cache_clear()

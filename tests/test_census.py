@@ -1,4 +1,5 @@
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -61,6 +62,17 @@ def test_is_sub_chm_2x2(quad, ok, residual):
 def test_is_sub_chm_2x2_rejects_non_unimodular():
     with pytest.raises(NotUnimodularError):
         is_sub_chm_2x2(2.0, 1, 1, 1)
+
+
+@pytest.mark.parametrize("position", range(4))
+@pytest.mark.parametrize("nan", [complex(math.nan, 0), complex(0, math.nan), complex(math.nan, math.nan)],
+                         ids=["real", "imag", "both"])
+def test_is_sub_chm_2x2_rejects_nan(position, nan):
+    # |NaN| - 1 compares False with eps either way: a NaN entry is not unimodular.
+    quad = [1, 1, 1, -1]
+    quad[position] = nan
+    with pytest.raises(NotUnimodularError):
+        is_sub_chm_2x2(*quad)
 
 
 def test_2x2_predicates_agree_on_random_quadruples():

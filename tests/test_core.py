@@ -252,13 +252,14 @@ def test_recent_inputs_are_few_and_small():
     gen = rng(11)
     for k in range(100):
         census_2x2(apply_witness(named("D0").matrix, random_witness(gen)))
-        assert len(chm.core._RECENT) <= 4
+        assert chm.core._recent.cache_info().currsize <= 4
+    assert chm.core._recent.cache_info().maxsize == 4
+    kept = chm.core._recent.cache_info()
     j = np.arange(12)
     F12 = np.exp(2j * np.pi * np.outer(j, j) / 12)
     assert chm.core._prepare(F12) is not chm.core._prepare(F12)
     assert is_chm(F12).ok and are_equivalent(F12, F12) is not None
-    assert all(P.matrix.shape == (6, 6) for P in chm.core._RECENT.values())
-    assert len(chm.core._RECENT) <= 4
+    assert chm.core._recent.cache_info() == kept  # d > 6 neither looked up nor kept
 
 
 @pytest.mark.usefixtures("fresh_recent")
@@ -339,11 +340,36 @@ def test_a_content_hit_keeps_the_shape_guard_and_the_order():
         assert chm.core._prepare(same) is P
         assert census_2x2(same) == census_2x2(M)
     others = [family_h(random_point(rng(k))) for k in range(4)]
-    for other in others[:3]:
-        chm.core._prepare(other)
+    objects = [chm.core._prepare(other) for other in others[:3]]
     assert chm.core._prepare(M) is P  # a hit makes M the newest again
-    chm.core._prepare(others[3])  # evicts the oldest, others[0], not M
-    assert list(chm.core._RECENT) == [X.tobytes() for X in (others[1], others[2], M, others[3])]
+    objects.append(chm.core._prepare(others[3]))  # evicts the oldest, others[0], not M
+    assert chm.core._recent.cache_info().currsize == 4
+    misses = chm.core._recent.cache_info().misses
+    for X, Q in [(M, P), *zip(others[1:], objects[1:])]:
+        assert chm.core._prepare(X) is Q
+    assert chm.core._recent.cache_info().misses == misses
+    assert chm.core._prepare(others[0]) is not objects[0]
+    assert chm.core._recent.cache_info().misses == misses + 1
+
+
+@pytest.mark.usefixtures("fresh_recent")
+def test_a_list_complex64_or_matrix_form_of_a_recent_input_is_a_hit_without_validation(monkeypatch):
+    # D0's entries are +-1 and +-i, so a signed image of it survives complex64.
+    M = apply_witness(named("D0").matrix, random_witness(rng(5), signs_only=True))
+    P = chm.core._prepare(M)
+    calls = []
+    validate = chm.core._as_stack
+    for module in (chm, chm.core, chm.census, chm.equivalence, chm.mub, chm.scan):
+        if hasattr(module, "_as_stack"):
+            monkeypatch.setattr(module, "_as_stack", lambda m: calls.append(1) or validate(m))
+    with warnings.catch_warnings():  # numpy's matrix subclass warns that it is deprecated
+        warnings.simplefilter("ignore", PendingDeprecationWarning)
+        wrapped = np.asmatrix(M)
+    for same in (M.tolist(), M.astype(np.complex64), wrapped):
+        assert chm.core._prepare(same) is P
+        assert census_2x2(same) == census_2x2(M)
+    assert calls == []
+    assert chm.core._recent.cache_info().misses == 1
 
 
 def _parsed(parse, obj):
@@ -456,11 +482,11 @@ def test_threads_preparing_at_once_agree_with_one_thread():
     sys.setswitchinterval(1e-6)  # switch threads as often as possible
     try:
         for _ in range(3):
-            chm.core._RECENT.clear()
+            chm.core._recent.cache_clear()
             with ThreadPoolExecutor(max_workers=4) as pool:
                 futures = [pool.submit(census_2x2, M) for M in inputs]
                 assert [f.result(timeout=60) for f in futures] == serial
-            assert len(chm.core._RECENT) <= 4
+            assert chm.core._recent.cache_info().currsize <= 4
     finally:
         sys.setswitchinterval(interval)
 

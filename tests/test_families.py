@@ -1,3 +1,4 @@
+import json
 import math
 import os
 import struct
@@ -311,6 +312,41 @@ def test_unknown_name():
 def test_registry_matrices_are_read_only():
     with pytest.raises(ValueError):
         named("M1").matrix[0, 0] = 0.0
+
+
+_IMPORT_COUNTS = """
+import json, os, sys
+import numpy as np
+validated = []
+def profile(frame, event, arg):  # each validation made while chm imports, by the bytes it validated
+    code = frame.f_code
+    if event == "call" and code.co_name == "_as_stack" and code.co_filename.endswith(os.path.join("chm", "core.py")):
+        validated.append(np.asarray(frame.f_locals["entries"], np.complex128).tobytes().hex())
+sys.setprofile(profile)
+import chm
+sys.setprofile(None)
+from chm.core import _KEPT, _chm_residual, _recent
+kept = [e.name for e in chm.registry_entries() if _chm_residual in _KEPT[id(e.matrix)]._cache]
+print(json.dumps({"validated": validated, "recent": _recent.cache_info().currsize, "kept": kept}))
+"""
+
+
+def test_import_validates_each_registry_matrix_once_and_keeps_its_chm_residual():
+    # In a fresh process: one validation per registry matrix (F6 included) and
+    # no other, nothing in the recent cache, and each kept object holding the
+    # CHM residual of its import check.
+    package_root = str(Path(chm.__file__).resolve().parent.parent)
+    out = subprocess.run(
+        [sys.executable, "-c", _IMPORT_COUNTS],
+        capture_output=True,
+        text=True,
+        check=True,
+        env={**os.environ, "PYTHONPATH": package_root},
+    )
+    report = json.loads(out.stdout.splitlines()[-1])
+    assert sorted(report["validated"]) == sorted(e.matrix.tobytes().hex() for e in registry_entries())
+    assert report["recent"] == 0
+    assert report["kept"] == list(registry_names())
 
 
 @pytest.mark.parametrize("name", ["M1", "M2_w1", "M2_w2", "D0"])
