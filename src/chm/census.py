@@ -15,13 +15,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import DEFAULT_TOL, CheckResult, Tolerance, _chm_residual, _gram_residuals, _prepare, _Prepared, _out
-from .errors import (
-    DimensionMismatchError,
-    NotCHMError,
-    NotUnimodularError,
-    OracleDisagreementError,
-)
+from .core import (DEFAULT_TOL, CheckResult, Tolerance, _chm_residual, _gram_residuals, _out, _prepare,
+                   _Prepared, _unimodularity)
+from .errors import DimensionMismatchError, NotCHMError, NotUnimodularError, OracleDisagreementError
 
 _PAIRS = list(itertools.combinations(range(6), 2))  # 15 index pairs
 _TRIPLES = list(itertools.combinations(range(6), 3))  # 20 index triples
@@ -186,13 +182,15 @@ def census_2x2(M, tol: Tolerance = DEFAULT_TOL) -> CensusResult:
 def find_3x3_sub_chms(M, tol: Tolerance = DEFAULT_TOL) -> list[SubmatrixLoc]:
     """Locate 3x3 submatrices with pairwise orthogonal rows among the 400 choices.
 
-    Each of the three row inner products, a sum over the column triple of
-    the entrywise row-pair products x * conj(y), must have modulus <= 3*eps
-    (three unimodular terms). Such a submatrix is itself a 3x3 CHM.
+    Entries must lie within eps of modulus one (else NotUnimodularError).
+    Each row inner product of the three, a sum of three unimodular terms over
+    the column triple, must have modulus <= 3*eps: the submatrix is a 3x3 CHM.
     """
     P = _prepare(M)
     if P.matrix.shape != (6, 6):
         raise DimensionMismatchError(f"expected a 6x6 matrix, got {P.matrix.shape}")
+    if P.cached(_unimodularity) > tol.eps:
+        raise NotUnimodularError(f"entries not unimodular: off modulus one by {P.cached(_unimodularity):.3g}")
     return [_LOCS_3X3[k] for k in np.flatnonzero(P.cached(_gram_3x3) <= 3 * tol.eps).tolist()]
 
 

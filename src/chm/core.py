@@ -123,7 +123,7 @@ def _chm_residual(M: np.ndarray, grams: np.ndarray) -> float:
 
 
 class _Prepared:
-    """A validated d x d matrix, read-only, and the data the checks derive from it.
+    """A validated, read-only d x d matrix or (B, d, d) stack and what the checks derive from it.
 
     cached(build, *uses) is build(matrix, *map(cached, uses)), computed on first
     use and kept. No builder takes a tolerance: verdicts compare the kept

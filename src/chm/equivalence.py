@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .census import _P, _PAIRS_1, _T, _TRIPLES_1, _pair_residuals
-from .core import _KEPT, DEFAULT_TOL, Tolerance, _chm_residual, _gram_residuals, _prepare, as_matrix
+from .core import DEFAULT_TOL, Tolerance, _chm_residual, _gram_residuals, _prepare, as_matrix
 from .errors import (
     DimensionMismatchError,
     NotCHMError,
@@ -36,7 +36,6 @@ from .errors import (
 # B's form under (sigma, tau), so one within eps has |G - Ad| < 2*eps; and
 # sorting is 1-Lipschitz, so no stage rejects a witness that check accepts.
 _PREFILTER_ATOL = 1e-7
-_ONE_I = np.array([[1.0], [1.0j]])  # the points _signature measures distances to
 
 
 @dataclass(frozen=True, eq=False)
@@ -152,13 +151,13 @@ def real_submatrices_3x2(M, tol: Tolerance = DEFAULT_TOL) -> list[RealSubmatrixR
 
 
 def _signature(M) -> np.ndarray:
-    # Sorted multisets of entry distances to 1 and to i, shape (..., 2, d*d)
-    # for a (..., d, d) stack. Together these pin down the multiset of entry
-    # phases, are invariant under row/column permutation of a dephased form,
-    # and (unlike raw angles) have no branch cut at phase +-pi, so fp jitter
-    # cannot flip a bucket.
+    # Sorted real and sorted imaginary parts of the entries, (..., 2, d*d) for a
+    # (..., d, d) stack; for unimodular entries they fix the sorted distances to 1, i.
+    # Permutation invariant, with no branch cut, and 1-Lipschitz in the entries.
     flat = M.reshape(*M.shape[:-2], 1, -1)
-    return np.sort(np.abs(flat - _ONE_I), axis=-1)
+    parts = np.concatenate((flat.real, flat.imag), axis=-2)
+    parts.sort(axis=-1)
+    return parts
 
 
 def _build_witness(A, B, sigma, tau, eps) -> EquivalenceWitness | None:
@@ -196,10 +195,10 @@ def are_equivalent(A, B, tol: Tolerance = DEFAULT_TOL, timeout: float | None = N
     For d = 6, sorted 2x2 residual tables (kept per input) that differ by
     more than max(1e-7, 17*eps) prove a miss before any dephasing. Else a
     screen dephases B at every pivot (s, t), a block of pivot rows per
-    broadcast (for d <= 6 one block, which a registry matrix keeps), and
-    keeps the pivots whose sorted entries match A's dephased form. Under a
-    kept pivot, row j of B's form may become row k of A's only if their
-    sorted rows match too. Row permutations sigma with sigma[0] = s
+    broadcast (for d <= 6 one block, which B keeps), and keeps the pivots
+    whose sorted real and imaginary parts match A's dephased form's. Under
+    a kept pivot, row j of B's form may become row k of A's only if their
+    rows' sorted parts match too. Row permutations sigma with sigma[0] = s
     are walked in lexicographic order through these candidates; each
     complete sigma proposes the columns tau its form matches, so the
     d! x d! candidate space is never materialized. Every stage before the
@@ -235,22 +234,18 @@ def are_equivalent(A, B, tol: Tolerance = DEFAULT_TOL, timeout: float | None = N
 
     Ad, sig_a, rows_a = PA.cached(_a_side)
     block = max(1, 1296 // d**3)  # pivot rows per screen; F holds <= max(1296, d**3) entries
-    # A registry matrix keeps its screen, row signatures of every form included,
-    # when one block holds every pivot row (d**4 <= 1296). Any other B is
-    # screened a block at a time, and only the forms the screen keeps are signed.
-    # The budget is read before each block and before each pivot row's matches.
-    kept = block >= d and _KEPT.get(id(B)) is PB
+    # B keeps its screen, row signatures included, when one block holds every
+    # pivot row (d**4 <= 1296); else it is screened a block at a time, keeping nothing.
     for s0 in range(0, d, block):
         _check_deadline(deadline, (s0,), d)
-        F, sig_f, rows_f = PB.cached(_screen) if kept else _screen(B, slice(s0, s0 + block), False)
+        F, sig_f, rows_f = PB.cached(_screen) if block >= d else _screen(B, slice(s0, s0 + block))
         close = np.abs(sig_f - sig_a).max(axis=(-2, -1)) <= atol
         for i in np.flatnonzero(close.any(axis=1)).tolist():
             _check_deadline(deadline, (s0 + i,), d)
             ts = np.flatnonzero(close[i]).tolist()
             # match[n, j, k]: under pivot (s0 + i, ts[n]), row j of the form may be
             # row k of Ad. Built `block` pivots at a time to bound memory as F is.
-            forms = F[i, ts]
-            rows = _signature(forms[..., None, :]) if rows_f is None else rows_f[i, ts]
+            forms, rows = F[i, ts], rows_f[i, ts]
             match = np.concatenate([
                 np.abs(rows[c : c + block, :, None] - rows_a).max(axis=(-2, -1)) <= atol
                 for c in range(0, len(ts), block)
@@ -280,12 +275,11 @@ def _a_side(A):
     return Ad, _signature(Ad), _signature(Ad[:, None, :])
 
 
-def _screen(B, S=slice(None), rows=True):
+def _screen(B, S=slice(None)):
     # F[i, t] is B dephased with row S[i] and column t as its ones row/column,
-    # with the signature of each form and, if asked, of each of its rows. The
-    # defaults give the whole screen a registry matrix keeps.
+    # with the signature of each form and of each of its rows.
     F = B * (B[S, :, None, None] / (B.T[:, :, None] * B[S, None, None, :]))
-    return F, _signature(F), _signature(F[..., None, :]) if rows else None
+    return F, _signature(F), _signature(F[..., None, :])
 
 
 def _check_deadline(deadline, sigma, d):

@@ -54,8 +54,11 @@ def f_factor(x1: float, x2: float) -> complex:
         = e^{i(x1+x2)/2} (w/|w|) (|w|/2 + i sqrt(1 - |w|^2/4)).
     The right side is evaluated: it is unimodular by construction and does not
     cancel as |w| -> 0. Singular where 1 + sin(x1) sin(x2) vanishes (opposite
-    right-angle arguments); raises DomainError there.
+    right-angle arguments); raises DomainError there and at non-finite arguments.
     """
+    for name, x in (("x1", x1), ("x2", x2)):
+        if not math.isfinite(x):
+            raise DomainError(f"{name}={x!r} is not finite")
     if 1.0 + math.sin(x1) * math.sin(x2) <= 1e-12:
         raise DomainError(f"1 + sin(x1) sin(x2) vanishes at ({x1!r}, {x2!r})")
     return _f(x1, x2)

@@ -12,6 +12,7 @@ from chm import (
     NotCHMError,
     NotUnimodularError,
     SubmatrixLoc,
+    Tolerance,
     apply_witness,
     census_2x2,
     exclusion_report,
@@ -35,6 +36,7 @@ from util import (
     brute_force_h2,
     gram_3x3_oracle,
     looped_census_3x3,
+    off_modulus_one,
     random_phases,
     random_point,
     random_h2_reducible,
@@ -180,6 +182,15 @@ def test_3x3_census_golden_counts(name, count):
 
 def test_3x3_none_in_all_ones():
     assert find_3x3_sub_chms(np.ones((6, 6))) == []
+
+
+@pytest.mark.parametrize("name", ["zero", "2F6", "nudged"])
+def test_3x3_census_rejects_entries_off_modulus_one(name):
+    M = off_modulus_one()[name]
+    with pytest.raises(NotUnimodularError):
+        find_3x3_sub_chms(M)
+    with pytest.raises(NotUnimodularError):  # whatever the tolerance
+        find_3x3_sub_chms(M, Tolerance(9e-4))
 
 
 def test_3x3_locations_closed_under_conjugate_transpose():

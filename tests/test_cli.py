@@ -10,7 +10,7 @@ import chm.families
 from chm import EquivalenceWitness, apply_witness, json_dumps, matrix_to_obj, named
 from chm.cli import main
 from chm.scan import _CHUNK
-from util import straddling_d0
+from util import off_modulus_one, straddling_d0
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
 
@@ -143,6 +143,14 @@ def test_census3(capsys):
     doc = json.loads(out)
     assert doc["count"] == 28
     assert {"rows": [1, 3, 5], "cols": [1, 3, 5]} in doc["locations"]
+
+
+@pytest.mark.parametrize("name", ["zero", "2F6", "nudged"])
+def test_census3_rejects_entries_off_modulus_one(capsys, tmp_path, name):
+    M = off_modulus_one()[name]
+    code, out, err = run(capsys, "census3", write_matrix(tmp_path / "m.json", M))
+    assert (code, out) == (3, "")
+    assert "unimodular" in err
 
 
 def test_h2_family_found(capsys):

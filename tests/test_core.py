@@ -491,18 +491,21 @@ def test_threads_preparing_at_once_agree_with_one_thread():
         sys.setswitchinterval(interval)
 
 
-@pytest.mark.parametrize("d, keeps", [(6, True), (12, False)])
-def test_pivot_screen_is_kept_only_by_a_kept_matrix_as_one_block(monkeypatch, d, keeps):
+@pytest.mark.parametrize("d, keeps", [(2, True), (4, True), (6, True), (12, False)])
+def test_pivot_screen_is_kept_by_any_matrix_as_one_block(monkeypatch, fresh_recent, d, keeps):
+    # Whether B keeps its screen depends on d alone (one block when d**4 <= 1296),
+    # not on whether B is a registry array, recent content or a bare object.
     j = np.arange(d)
     F = np.exp(2j * np.pi * np.outer(j, j) / d)
-    fresh = chm.core._Prepared(F.copy())
-    assert are_equivalent(fresh, fresh) is not None
-    assert chm.equivalence._screen not in fresh._cache
-    F.setflags(write=False)
-    kept = chm.core._Prepared(F)
-    monkeypatch.setitem(chm.core._KEPT, id(F), kept)  # kept as a registry array is
-    assert are_equivalent(F, F) is not None
-    assert (chm.equivalence._screen in kept._cache) is keeps
+    image = apply_witness(F, random_witness(rng(97 + d), d=d))
+    bare, registry, recent = chm.core._Prepared(F.copy()), F.copy(), F.copy()
+    registry.setflags(write=False)
+    kept = chm.core._Prepared(registry)
+    monkeypatch.setitem(chm.core._KEPT, id(registry), kept)  # kept as a registry array is
+    for B in (bare, registry, recent):
+        assert are_equivalent(image, B) is not None
+    held = [bare, kept] + ([chm.core._prepare(recent)] if d <= 6 else [])  # d > 6 is never recent
+    assert [chm.equivalence._screen in P._cache for P in held] == [keeps] * len(held)
 
 
 def test_matrix_json_round_trip():

@@ -40,6 +40,7 @@ from util import (
     rng,
     straddling_d0,
 )
+from chm.equivalence import _signature
 
 
 def test_dephase_fixes_d0():
@@ -329,6 +330,37 @@ def test_search_pinned_beyond_the_oracle(d):
     assert (found.row_perm, found.col_perm) == (row_perm, col_perm)
     assert np.array_equal(found.row_phases, row_phases)
     assert np.array_equal(found.col_phases, col_phases)
+
+
+def _dephased_forms(gen):
+    # Dephased registry matrices and seeded family points.
+    sources = [named(name).matrix for name in registry_names()]
+    sources += [family_h(random_point(gen)) for _ in range(20)]
+    return [dephase(M) for M in sources]
+
+
+def test_signature_is_bit_identical_under_row_and_column_permutation():
+    gen = rng(101)
+    for G in _dephased_forms(gen):
+        sig, rows = _signature(G), _signature(G[:, None, :])
+        for _ in range(5):
+            r, c = gen.permutation(6), gen.permutation(6)
+            P = G[r][:, c]
+            assert np.array_equal(_signature(P), sig)
+            assert np.array_equal(_signature(P[:, None, :]), rows[r])  # row j of P is row r[j] of G
+
+
+def test_signature_moves_no_more_than_the_entries():
+    # The screen's bound rests on this: max|sig(G + D) - sig(G)| <= max|D|, per
+    # form and per row, so no stage rejects a witness the final check accepts.
+    gen = rng(103)
+    for G in _dephased_forms(gen):
+        for _ in range(5):
+            H = G + gen.uniform(0, 1e-4, G.shape) * np.exp(1j * gen.uniform(-np.pi, np.pi, G.shape))
+            D = np.abs(H - G)  # the perturbation as rounded into H
+            assert np.abs(_signature(H) - _signature(G)).max() <= D.max()
+            rows = np.abs(_signature(H[:, None, :]) - _signature(G[:, None, :])).max(axis=(-2, -1))
+            assert (rows <= D.max(axis=1)).all()
 
 
 def test_screen_bound_follows_tol():

@@ -71,6 +71,17 @@ def test_f_factor_singular_arguments(x1, x2):
         f_factor_alt(x1, x2)
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("where", ["x1", "x2", "both"])
+def test_f_factor_rejects_non_finite_arguments(bad, where):
+    # NaN used to pass the singularity guard (returning nan+nanj) and inf to
+    # reach math.sin (a bare ValueError).
+    x1, x2 = (bad if where in ("x1", "both") else 0.0), (bad if where in ("x2", "both") else 0.0)
+    with pytest.raises(DomainError, match="x1" if where != "x2" else "x2") as info:
+        f_factor(x1, x2)
+    assert "not finite" in str(info.value)
+
+
 @pytest.mark.parametrize(
     "x1, x2",
     [(-math.pi / 2, 0.0), (0.0, -math.pi / 2), (math.pi / 2 + 1e-6, 0.0), (-2.0, 0.0)],

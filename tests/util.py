@@ -54,6 +54,16 @@ def noisy_image(gen, M, eps, frac):
     return M * np.exp(1j * gen.uniform(-frac * eps, frac * eps, size=M.shape))
 
 
+def off_modulus_one():
+    """6x6 matrices with entries off modulus one, by name: the zero matrix
+    (all 400 3x3 blocks have orthogonal rows), 2*F6 (28 such blocks) and F6
+    with one entry set to 1e-3."""
+    F6 = named("F6").matrix
+    nudged = F6.copy()
+    nudged[2, 3] = 1e-3
+    return {"zero": np.zeros((6, 6)), "2F6": 2 * F6, "nudged": nudged}
+
+
 def straddling_d0(s, eps=1e-4):
     """D0 with a dephased gap at (3,4) (1-based) that straddles eps against its fit.
 
