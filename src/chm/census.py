@@ -42,6 +42,9 @@ _PAIRING_PAIRS = np.array(
 )
 _PAIRINGS = [tuple(_PAIRS[k] for k in t) for t in _PAIRING_PAIRS]
 _PAIRINGS_1 = [tuple((i + 1, j + 1) for i, j in pairing) for pairing in _PAIRINGS]
+_PAIRING_INDEX = _PAIRING_PAIRS.tolist()
+_BITS = 1 << np.arange(15)  # pair index q as bit q of a mask
+_PAIRING_MASKS = [int(_BITS[t].sum()) for t in _PAIRING_PAIRS]
 
 
 @dataclass(frozen=True)
@@ -136,7 +139,7 @@ def _residual_table(P: _Prepared, tol: Tolerance) -> np.ndarray:
     shape = P.matrix.shape[-2:]
     if shape != (6, 6):
         raise DimensionMismatchError(f"expected a 6x6 matrix, got {shape}")
-    check = P.cached(_chm_residual, _gram_residuals)
+    check = P.cached(_chm_residual, _unimodularity, _gram_residuals)
     if check > tol.eps:
         raise NotCHMError(f"expected a CHM (residual {check:.3g})")
     residual, worst = P.cached(_pair_residuals)
@@ -208,13 +211,16 @@ def _h2_hits(hit) -> np.ndarray:
 
 
 def _h2_from_table(table, eps: float):
-    # First pairing combination, in (row pairing, column pairing) order,
-    # whose nine blocks are all hits in a one-member residual table.
-    found = np.flatnonzero(_h2_hits(table <= eps)[0])
-    if found.size == 0:
-        return None
-    rp, cp = divmod(int(found[0]), len(_PAIRINGS))
-    return H2Structure(row_pairing=_PAIRINGS_1[rp], col_pairing=_PAIRINGS_1[cp])
+    # First pairing combination, in (row pairing, column pairing) order, whose
+    # nine blocks are all hits in a one-member residual table: bit q of masks[p]
+    # is set when block (row pair p, column pair q) is a hit.
+    masks = ((table[0] <= eps) @ _BITS).tolist()
+    for rp, (a, b, c) in enumerate(_PAIRING_INDEX):
+        hit = masks[a] & masks[b] & masks[c]  # the column pairs hit under all three row pairs
+        for cp, m in enumerate(_PAIRING_MASKS if hit else ()):
+            if hit & m == m:
+                return H2Structure(row_pairing=_PAIRINGS_1[rp], col_pairing=_PAIRINGS_1[cp])
+    return None
 
 
 def h2_block_structure(M, tol: Tolerance = DEFAULT_TOL):

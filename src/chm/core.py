@@ -107,16 +107,16 @@ def is_chm(M, tol: Tolerance = DEFAULT_TOL) -> CheckResult:
     """
     if np.ndim(M) == 3:
         S = _as_stack(M)
-        residual = _chm_residual(S, _gram_residuals(S))
+        residual = _chm_residual(S, _unimodularity(S), _gram_residuals(S))
     else:  # a matrix: read from, and kept on, its prepared object
-        residual = _prepare(M).cached(_chm_residual, _gram_residuals)
+        residual = _prepare(M).cached(_chm_residual, _unimodularity, _gram_residuals)
     return CheckResult(residual <= tol.eps, residual)
 
 
-def _chm_residual(M: np.ndarray, grams: np.ndarray) -> float:
+def _chm_residual(M: np.ndarray, unimodularity: float, grams: np.ndarray) -> float:
     # is_chm's residual of a validated matrix or (B, d, d) stack, given its
-    # per-member Gram residuals: the worst member's.
-    return max(_unimodularity(M), float(grams.max()) / M.shape[-1])
+    # unimodularity and per-member Gram residuals: the worst member's.
+    return max(unimodularity, float(grams.max()) / M.shape[-1])
 
 
 # --- prepared matrices --------------------------------------------------------

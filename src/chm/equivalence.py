@@ -15,13 +15,14 @@ entrywise check of the witness fitted to that proposal.
 from __future__ import annotations
 
 import math
+import operator
 import time
 from dataclasses import dataclass
 
 import numpy as np
 
 from .census import _P, _PAIRS_1, _T, _TRIPLES_1, _pair_residuals
-from .core import DEFAULT_TOL, Tolerance, _chm_residual, _gram_residuals, _prepare, as_matrix
+from .core import DEFAULT_TOL, Tolerance, _chm_residual, _gram_residuals, _prepare, _unimodularity, as_matrix
 from .errors import (
     DimensionMismatchError,
     NotCHMError,
@@ -219,7 +220,7 @@ def are_equivalent(A, B, tol: Tolerance = DEFAULT_TOL, timeout: float | None = N
     if A.shape != B.shape:
         raise DimensionMismatchError(f"shapes differ: {A.shape} vs {B.shape}")
     for label, P in (("A", PA), ("B", PB)):
-        residual = P.cached(_chm_residual, _gram_residuals)
+        residual = P.cached(_chm_residual, _unimodularity, _gram_residuals)
         if residual > tol.eps:
             raise NotCHMError(f"{label} is not a CHM (residual {residual:.3g})")
 
@@ -294,23 +295,36 @@ def _check_deadline(deadline, sigma, d):
 
 def _walk(forms, Ad, s, match, atol, deadline):
     # Yields in lexicographic order each (sigma, tau), sigma[0] = s, under which a
-    # form (B dephased at pivot (s, tau[0])) matches Ad within atol. Each node of
-    # the depth-first walk carries the indices n of the forms its rows all match.
-    d = len(Ad)
-    cand = match.transpose(2, 1, 0).tolist()  # [k][j][n]
-    stack = [((s,), [n for n in range(len(forms)) if cand[0][s][n]])]
+    # form (B dephased at pivot (s, tau[0])) matches Ad within atol. Each node holds the
+    # forms its rows all match as one int; bit n of cand[k][j]: row j of form n may be row k.
+    d, q = len(Ad), min(1, len(Ad) - 1)  # q: the first row that tells columns apart (row 0 is all ones)
+    cand, *high = np.packbits(match, axis=0, bitorder="little").transpose(0, 2, 1).tolist()  # byte b: forms 8b..
+    for b, byte in enumerate(high, 1):
+        cand = [[x | y << 8 * b for x, y in zip(row, more)] for row, more in zip(cand, byte)]
+    forms, (first, *a_cols) = forms.tolist(), Ad.T.tolist()
+    a_cols.append(first)  # last, as every form's pivot column matches it: a failing leaf fails sooner
+    stack = [((s,), cand[0][s])]
     while stack:
         sigma, live = stack.pop()
         _check_deadline(deadline, sigma, d)
         k = len(sigma)
         if k < d:  # children pushed largest row first, so the smallest is walked first
-            children = ((sigma + (j,), [n for n in live if cand[k][j][n]])
-                        for j in reversed(range(d)) if j not in sigma)
-            stack.extend(child for child in children if child[1])
+            row = cand[k]
+            stack += [(sigma + (j,), m) for j in reversed(range(d)) if (m := live & row[j]) and j not in sigma]
             continue
-        for n in live:
-            # ok[k, c]: column c of the form, rows in sigma order, matches Ad's column k.
-            ok = np.abs(forms[n][sigma, :][:, None, :] - Ad[:, :, None]).max(axis=0) <= atol
-            # CHM columns lie sqrt(2d) apart and atol < 2e-3: unique matches, tau[0] = pivot.
-            if ok.any(axis=1).all():
-                yield sigma, tuple(ok.argmax(axis=1).tolist())
+        while live:  # the forms in ascending n
+            n = (live & -live).bit_length() - 1
+            live &= live - 1
+            # tau[k]: the first column of form n, rows in sigma order, within atol of Ad's column k,
+            # screened on rows q and d-1. CHM columns lie sqrt(2d) apart and atol < 2e-3: unique matches.
+            cols, tau = list(zip(*map(forms[n].__getitem__, sigma))), []
+            for a in a_cols:
+                for c, g in enumerate(cols):
+                    if (abs(g[q] - a[q]) <= atol and abs(g[-1] - a[-1]) <= atol
+                            and max(map(abs, map(operator.sub, g, a))) <= atol):
+                        tau.append(c)
+                        break
+                else:
+                    break
+            else:
+                yield sigma, tuple(tau[-1:] + tau[:-1])

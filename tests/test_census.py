@@ -26,7 +26,8 @@ from chm import (
     named,
     registry_names,
 )
-from chm.census import _PAIRING_PAIRS, _PAIRINGS, _PAIRS, _gram_3x3, _residual_table
+from chm.census import (_PAIRING_PAIRS, _PAIRINGS, _PAIRINGS_1, _PAIRS, _gram_3x3, _h2_from_table, _h2_hits,
+                        _residual_table)
 from chm.core import _Prepared
 from chm.scan import grid_values
 from util import (
@@ -346,6 +347,27 @@ def test_censuses_build_no_locations(monkeypatch, name):
     assert find_3x3_sub_chms(M) and exclusion_report(M) is not None
     census_2x2(M)
     assert calls == []
+
+
+def test_single_matrix_pairing_search_is_the_first_flag_of_the_stack_search():
+    # 2400 seeded one-member tables: hits sprinkled at three densities, then 0
+    # to 3 planted pairings (nine blocks at exactly eps); the other residuals
+    # lie just above eps or far from it.
+    gen = rng(67)
+    eps = 1e-9
+    flag_counts = []
+    for n in range(2400):
+        table = np.where(gen.random((1, 15, 15)) < 0.5, np.nextafter(eps, 1), gen.uniform(eps, 2, (1, 15, 15)))
+        table[gen.random((1, 15, 15)) < (0.05, 0.25, 0.5)[n % 3]] = 0.0
+        for _ in range(gen.integers(4)):
+            rows, cols = _PAIRING_PAIRS[gen.integers(15, size=2)]
+            table[0, rows[:, None], cols] = eps
+        flags = np.flatnonzero(_h2_hits(table <= eps)[0]).tolist()
+        flag_counts.append(len(flags))
+        first = divmod(flags[0], 15) if flags else None
+        expected = first and H2Structure(row_pairing=_PAIRINGS_1[first[0]], col_pairing=_PAIRINGS_1[first[1]])
+        assert _h2_from_table(table, eps) == expected
+    assert flag_counts.count(0) > 500 and flag_counts.count(1) > 300 and sum(c > 1 for c in flag_counts) > 300
 
 
 def test_pairings_match_recursive_oracle():

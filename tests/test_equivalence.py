@@ -39,8 +39,9 @@ from util import (
     residual_table_oracle,
     rng,
     straddling_d0,
+    walk_oracle,
 )
-from chm.equivalence import _signature
+from chm.equivalence import _signature, _walk
 
 
 def test_dephase_fixes_d0():
@@ -593,3 +594,75 @@ def test_the_budget_is_read_before_each_screen_block_and_pivot_row(monkeypatch, 
         are_equivalent(image, F, timeout=1.0)
     assert info.value.examined == 0  # every pivot of F is kept: row 0 is the first
     assert calls == {"_screen": 1, "_walk": 0}
+
+
+def _f4(a):
+    w = 1j * np.exp(1j * a)
+    return np.array([[1, 1, 1, 1], [1, w, -1, -w], [1, -1, 1, -1], [1, -w, -1, w]])
+
+
+def _walk_corpus():
+    # (A, B, eps): witness images of the registry matrices and of seeded family
+    # points at two tolerances, a noisy D0 image, F4(0), F4(pi/4) and F8.
+    gen = rng(97)
+    sources = [named(name).matrix for name in registry_names()]
+    sources += [family_h(random_point(gen)) for _ in range(4)]
+    cases = [(apply_witness(M, random_witness(gen)), M, eps) for eps in (1e-9, 1e-5) for M in sources]
+    D0 = named("D0").matrix
+    cases.append((noisy_image(gen, apply_witness(D0, random_witness(gen)), 1e-5, 0.3), D0, 1e-5))
+    for F in (_f4(0), _f4(np.pi / 4), _fourier(8)):
+        cases.append((apply_witness(F, random_witness(gen, d=len(F))), F, DEFAULT_TOL.eps))
+    cases.append((apply_witness(_f4(0), random_witness(gen, d=4)), _f4(np.pi / 4), DEFAULT_TOL.eps))
+    return cases
+
+
+def _kept_pivot_rows(monkeypatch, A, B, eps):
+    # The walk inputs of every kept pivot row of B against A: with a walk that
+    # yields nothing, the search goes on to the next kept row.
+    rows = []
+    with monkeypatch.context() as m:
+        m.setattr(chm.equivalence, "_walk", lambda *args: rows.append(args) or iter(()))
+        assert are_equivalent(A, B, Tolerance(eps)) is None
+    return rows
+
+
+def test_walk_yields_the_numpy_leaf_oracles_whole_sequence(monkeypatch):
+    # Every (sigma, tau) of every kept pivot row, in order, not just the first.
+    lengths = []
+    for A, B, eps in _walk_corpus():
+        for args in _kept_pivot_rows(monkeypatch, A, B, eps):
+            got = list(_walk(*args))
+            assert got == list(walk_oracle(*args))
+            lengths.append(len(got))
+    assert len(lengths) > 50 and sum(lengths) > 1000
+
+
+@pytest.mark.parametrize("n_forms", [1, 8, 9, 63, 64, 65, 70])
+def test_walk_holds_any_number_of_forms(n_forms):
+    # Forms are row and column permutations of F5 with row 0 kept first; row
+    # matches hold the true pairs and seeded false ones. The last form alone
+    # has its permutation, so a walk that drops high bits loses its witness.
+    gen = rng(n_forms)
+    Ad = _fourier(5)
+    perms = [[0, *gen.permutation(range(1, 5)).tolist()] for _ in range(3)]
+    kinds = [n % 2 for n in range(n_forms - 1)] + [2]
+    cols = [gen.permutation(5).tolist() for _ in range(3)]
+    forms = np.array([Ad[perms[k]][:, cols[k]] for k in kinds])
+    match = gen.random((n_forms, 5, 5)) < 0.3
+    for n, k in enumerate(kinds):
+        match[n, range(5), perms[k]] = True
+    got = list(_walk(forms, Ad, 0, match, 1e-7, None))
+    assert got == list(walk_oracle(forms, Ad, 0, match, 1e-7, None))
+    assert (tuple(np.argsort(perms[2]).tolist()), tuple(np.argsort(cols[2]).tolist())) in got
+
+
+@pytest.mark.parametrize("d", [64, 65])
+def test_a_search_with_64_or_more_forms_per_pivot_row_runs_to_its_budget(monkeypatch, d):
+    # Every pivot of a Fourier matrix is kept, so the live forms of one pivot
+    # row need d >= 64 bits; the search walks them until its budget is spent.
+    widths = []
+    monkeypatch.setattr(chm.equivalence, "_walk", lambda forms, *a: widths.append(len(forms)) or _walk(forms, *a))
+    F = _fourier(d)
+    with pytest.raises(SearchTimeoutError):
+        are_equivalent(apply_witness(F, random_witness(rng(d), d=d)), F, timeout=0.5)
+    assert max(widths) >= 64

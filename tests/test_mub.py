@@ -116,6 +116,23 @@ def test_exclusions_d0_self_witness():
 
 
 @pytest.mark.usefixtures("fresh_recent")
+def test_exclusion_report_scans_a_new_input_for_unimodularity_once(monkeypatch):
+    # The CHM residual and the 3x3 census read one kept unimodularity.
+    calls = []
+    real = chm.core._unimodularity
+
+    def counting(*args):
+        calls.append(1)
+        return real(*args)
+
+    for module in (chm, chm.core, chm.census, chm.scan, chm.mub, chm.equivalence):
+        if hasattr(module, "_unimodularity"):
+            monkeypatch.setattr(module, "_unimodularity", counting)
+    exclusion_report(family_h(FamilyPoint(0.3, 0.7)))
+    assert len(calls) == 1
+
+
+@pytest.mark.usefixtures("fresh_recent")
 def test_exclusion_report_checks_chm_once(monkeypatch):
     calls = []
     real = chm.core._chm_residual  # the CHM residual behind is_chm and every internal caller

@@ -8,6 +8,7 @@ import numpy as np
 
 from chm import DEFAULT_TOL, EquivalenceWitness, FamilyPoint, H2Structure, Tolerance
 from chm import RealSubmatrixReport, SubmatrixLoc, as_matrix, dephase, is_sub_chm_2x2, json_dumps, named
+from chm.equivalence import _check_deadline
 from chm.errors import DomainError, InvalidMatrixError, NonSquareError
 from chm.families import _f
 
@@ -425,6 +426,29 @@ def brute_force_equivalence(A, B, eps=DEFAULT_TOL.eps, rounds=3):
             if witness is not None:
                 return witness
     return None
+
+
+def walk_oracle(forms, Ad, s, match, atol, deadline=None):
+    """The equivalence walk with its live forms as lists of indices and one
+    numpy broadcast per leaf form, for the library's integer-bitmask walk to
+    match: the same (sigma, tau) sequence, and the budget read at each node."""
+    d = len(Ad)
+    cand = match.transpose(2, 1, 0).tolist()  # [k][j][n]
+    stack = [((s,), [n for n in range(len(forms)) if cand[0][s][n]])]
+    while stack:
+        sigma, live = stack.pop()
+        _check_deadline(deadline, sigma, d)
+        k = len(sigma)
+        if k < d:  # children pushed largest row first, so the smallest is walked first
+            children = ((sigma + (j,), [n for n in live if cand[k][j][n]])
+                        for j in reversed(range(d)) if j not in sigma)
+            stack.extend(child for child in children if child[1])
+            continue
+        for n in live:
+            # ok[k, c]: column c of the form, rows in sigma order, matches Ad's column k.
+            ok = np.abs(forms[n][sigma, :][:, None, :] - Ad[:, :, None]).max(axis=0) <= atol
+            if ok.any(axis=1).all():
+                yield sigma, tuple(ok.argmax(axis=1).tolist())
 
 
 def matrix_from_obj_oracle(obj):
