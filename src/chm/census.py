@@ -36,15 +36,11 @@ FORBIDDEN_COUNTS = frozenset({10, 11, 12, 13, 14, 15, 16, 18})
 
 
 # The 15 ways to split 0..5 into three pairs, in lexicographic order: as
-# residual-table pair indices, as pairs, and as 1-based pairs.
-_PAIRING_PAIRS = np.array(
-    [t for t in itertools.combinations(range(15), 3) if len(set(_P[list(t)].flat)) == 6]
-)
-_PAIRINGS = [tuple(_PAIRS[k] for k in t) for t in _PAIRING_PAIRS]
-_PAIRINGS_1 = [tuple((i + 1, j + 1) for i, j in pairing) for pairing in _PAIRINGS]
-_PAIRING_INDEX = _PAIRING_PAIRS.tolist()
+# residual-table pair indices, as 1-based pairs, and as bit masks of pair indices.
+_PAIRING_INDEX = [t for t in itertools.combinations(range(15), 3) if len(set(_P[list(t)].flat)) == 6]
+_PAIRINGS_1 = [tuple(_PAIRS_1[k] for k in t) for t in _PAIRING_INDEX]
 _BITS = 1 << np.arange(15)  # pair index q as bit q of a mask
-_PAIRING_MASKS = [int(_BITS[t].sum()) for t in _PAIRING_PAIRS]
+_PAIRING_MASKS = [sum(1 << k for k in t) for t in _PAIRING_INDEX]
 
 
 @dataclass(frozen=True)
@@ -203,33 +199,34 @@ def _gram_3x3(M) -> np.ndarray:
     return np.abs(Q[:, _T].sum(-1))[_TRIPLE_PAIRS].max(axis=1)
 
 
-def _h2_hits(hit) -> np.ndarray:
-    # From a (B, 15, 15) stack of 2x2 sub-CHM flags (residual <= eps):
-    # [member, 15 * row pairing + column pairing] has all nine blocks hit.
-    rows_hit = hit[:, _PAIRING_PAIRS].all(axis=2)  # [member, row pairing, column pair]
-    return rows_hit[:, :, _PAIRING_PAIRS].all(axis=3).reshape(len(hit), -1)
-
-
-def _h2_from_table(table, eps: float):
-    # First pairing combination, in (row pairing, column pairing) order, whose
-    # nine blocks are all hits in a one-member residual table: bit q of masks[p]
-    # is set when block (row pair p, column pair q) is a hit.
-    masks = ((table[0] <= eps) @ _BITS).tolist()
-    for rp, (a, b, c) in enumerate(_PAIRING_INDEX):
-        hit = masks[a] & masks[b] & masks[c]  # the column pairs hit under all three row pairs
-        for cp, m in enumerate(_PAIRING_MASKS if hit else ()):
-            if hit & m == m:
-                return H2Structure(row_pairing=_PAIRINGS_1[rp], col_pairing=_PAIRINGS_1[cp])
-    return None
+def _pairings(table, eps: float) -> list:
+    # Per member of a (B, 15, 15) residual table, the first (row pairing, column
+    # pairing) index pair in lexicographic order whose nine blocks are all hits,
+    # or None. Bit q of mask p is set when block (row pair p, column pair q) hits.
+    found = []
+    for masks in ((table <= eps) @ _BITS).tolist():
+        found.append(None)
+        for rp, (a, b, c) in enumerate(_PAIRING_INDEX):
+            hit = masks[a] & masks[b] & masks[c]  # the column pairs hit under all three row pairs
+            for cp, m in enumerate(_PAIRING_MASKS if hit else ()):
+                if hit & m == m:
+                    found[-1] = rp, cp
+                    break
+            else:
+                continue  # no column pairing: try the next row pairing
+            break
+    return found
 
 
 def h2_block_structure(M, tol: Tolerance = DEFAULT_TOL):
     """First (lexicographically smallest) row/column pairing making all nine
     2x2 blocks sub-CHMs, or None if the matrix is not H2-reducible.
 
-    Searches all 15 x 15 pairing combinations.
+    Tries the 15 x 15 pairing combinations in lexicographic order, row
+    pairing outer, and stops at the first hit.
     """
-    return _h2_from_table(_residual_table(_prepare(M), tol), tol.eps)
+    found = _pairings(_residual_table(_prepare(M), tol), tol.eps)[0]
+    return found and H2Structure(_PAIRINGS_1[found[0]], _PAIRINGS_1[found[1]])
 
 
 def forbidden_count_check(n: int) -> bool:

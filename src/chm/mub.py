@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .census import _h2_from_table, _residual_table, find_3x3_sub_chms, forbidden_count_check
+from .census import _residual_table, find_3x3_sub_chms, forbidden_count_check, h2_block_structure
 from .core import DEFAULT_TOL, Tolerance, _prepare
 from .equivalence import are_equivalent, count_real_entries
 from .errors import DimensionMismatchError, InvalidMatrixError
@@ -106,7 +106,7 @@ def exclusion_report(H, tol: Tolerance = DEFAULT_TOL) -> ExclusionReport:
         hits.append(RuleHit("R3", witness.to_obj()))
 
     count = int(np.count_nonzero(table <= tol.eps))
-    structure = None if forbidden_count_check(count) else _h2_from_table(table, tol.eps)
+    structure = None if forbidden_count_check(count) else h2_block_structure(P, tol)
     if structure is not None:
         hits.append(RuleHit("R4", {"count": count, **structure.to_obj()}))
 

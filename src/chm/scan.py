@@ -20,7 +20,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .census import _h2_hits, _pair_residuals, _residual_table, forbidden_count_check
+from .census import _pair_residuals, _pairings, _residual_table, forbidden_count_check
 from .core import DEFAULT_TOL, Tolerance, _gram_residuals, _Prepared, _Workspace, json_dumps
 from .families import _family_stack
 
@@ -84,10 +84,10 @@ def _census_columns(x1s, x2s, eps: float, work=None) -> tuple[list, list, list, 
     S = _family_stack(x1s, x2s)
     kernels = {_gram_residuals: _gram_residuals(S, work), _pair_residuals: _pair_residuals(S, work)}
     P = _Prepared(S, kernels)
-    hit = _residual_table(P, Tolerance(eps)) <= eps
-    counts = np.count_nonzero(hit, axis=(1, 2)).tolist()
+    table = _residual_table(P, Tolerance(eps))
+    counts = np.count_nonzero(table <= eps, axis=(1, 2)).tolist()
     forbidden = [not forbidden_count_check(n) for n in counts]
-    return counts, P.cached(_gram_residuals).tolist(), _h2_hits(hit).any(axis=1).tolist(), forbidden
+    return counts, P.cached(_gram_residuals).tolist(), [p is not None for p in _pairings(table, eps)], forbidden
 
 
 def _records(columns) -> list[CensusRecord]:

@@ -26,16 +26,18 @@ from chm import (
     named,
     registry_names,
 )
-from chm.census import (_PAIRING_PAIRS, _PAIRINGS, _PAIRINGS_1, _PAIRS, _gram_3x3, _h2_from_table, _h2_hits,
-                        _residual_table)
+from chm.census import _PAIRING_INDEX, _PAIRINGS_1, _PAIRS, _gram_3x3, _pairings, _residual_table
 from chm.core import _Prepared
+from chm.families import _family_stack
 from chm.scan import grid_values
 from util import (
     NATURAL_PAIRING,
+    PAIRING_PAIRS,
     PAIRINGS,
     brute_force_census_2x2,
     brute_force_h2,
     gram_3x3_oracle,
+    h2_hits_oracle,
     looped_census_3x3,
     off_modulus_one,
     random_phases,
@@ -212,6 +214,13 @@ def test_family_block_structure_is_natural():
     for x1, x2 in [(1.0, 0.5), (0.0, 0.0), (-1.2, 0.3), (np.pi / 2, np.pi / 2)]:
         structure = h2_block_structure(family_h(FamilyPoint(x1, x2)))
         assert structure == H2Structure(NATURAL_PAIRING, NATURAL_PAIRING)
+    # The whole grid-64 family, in stacks: the natural pairing is the first
+    # combination tried, so the search stops at its first AND for every member.
+    points = list(itertools.product(grid_values(64), repeat=2))
+    for start in range(0, len(points), 512):
+        S = _family_stack(*zip(*points[start : start + 512]))
+        for eps in (1e-14, 1e-9):
+            assert _pairings(_residual_table(_Prepared(S), Tolerance(eps)), eps) == [(0, 0)] * len(S)
 
 
 def test_f6_block_structure():
@@ -350,31 +359,34 @@ def test_censuses_build_no_locations(monkeypatch, name):
 
 
 def test_single_matrix_pairing_search_is_the_first_flag_of_the_stack_search():
-    # 2400 seeded one-member tables: hits sprinkled at three densities, then 0
-    # to 3 planted pairings (nine blocks at exactly eps); the other residuals
-    # lie just above eps or far from it.
+    # 2400 seeded tables in stacks of each size: hits sprinkled at three
+    # densities, then 0 to 3 planted pairings (nine blocks at exactly eps); the
+    # other residuals lie just above eps or far from it. Each member's entry is
+    # its first flag in the oracle's lexicographic order.
     gen = rng(67)
     eps = 1e-9
-    flag_counts = []
-    for n in range(2400):
-        table = np.where(gen.random((1, 15, 15)) < 0.5, np.nextafter(eps, 1), gen.uniform(eps, 2, (1, 15, 15)))
-        table[gen.random((1, 15, 15)) < (0.05, 0.25, 0.5)[n % 3]] = 0.0
-        for _ in range(gen.integers(4)):
-            rows, cols = _PAIRING_PAIRS[gen.integers(15, size=2)]
-            table[0, rows[:, None], cols] = eps
-        flags = np.flatnonzero(_h2_hits(table <= eps)[0]).tolist()
-        flag_counts.append(len(flags))
-        first = divmod(flags[0], 15) if flags else None
-        expected = first and H2Structure(row_pairing=_PAIRINGS_1[first[0]], col_pairing=_PAIRINGS_1[first[1]])
-        assert _h2_from_table(table, eps) == expected
-    assert flag_counts.count(0) > 500 and flag_counts.count(1) > 300 and sum(c > 1 for c in flag_counts) > 300
+    for size in (1, 7, 32):
+        flag_counts = []
+        for start in range(0, 2400, size):
+            shape = (size, 15, 15)
+            table = np.where(gen.random(shape) < 0.5, np.nextafter(eps, 1), gen.uniform(eps, 2, shape))
+            density = np.array((0.05, 0.25, 0.5))[(start + np.arange(size)) % 3]
+            table[gen.random(shape) < density[:, None, None]] = 0.0
+            for m in range(size):
+                for _ in range(gen.integers(4)):
+                    rows, cols = PAIRING_PAIRS[gen.integers(15, size=2)]
+                    table[m, rows[:, None], cols] = eps
+            found = _pairings(table, eps)
+            for m, hits in enumerate(h2_hits_oracle(table <= eps)):
+                flags = np.flatnonzero(hits).tolist()
+                flag_counts.append(len(flags))
+                assert found[m] == (divmod(flags[0], 15) if flags else None)
+        assert flag_counts.count(0) > 500 and flag_counts.count(1) > 300 and sum(c > 1 for c in flag_counts) > 300
 
 
 def test_pairings_match_recursive_oracle():
-    assert _PAIRINGS == PAIRINGS
-    assert [[_PAIRS[k] for k in row] for row in _PAIRING_PAIRS.tolist()] == [
-        list(pairing) for pairing in PAIRINGS
-    ]
+    assert [tuple(_PAIRS[k] for k in t) for t in _PAIRING_INDEX] == PAIRINGS
+    assert _PAIRINGS_1 == [tuple((a + 1, b + 1) for a, b in pairing) for pairing in PAIRINGS]
 
 
 @pytest.mark.parametrize("n", range(26))

@@ -231,8 +231,8 @@ def test_r4_fires_on_a_forbidden_count(monkeypatch):
 
 def test_r4_searches_no_pairing_for_an_admissible_count(monkeypatch):
     calls = []
-    search = chm.mub._h2_from_table
-    monkeypatch.setattr(chm.mub, "_h2_from_table", lambda *a: calls.append(1) or search(*a))
+    search = chm.mub.h2_block_structure
+    monkeypatch.setattr(chm.mub, "h2_block_structure", lambda *a: calls.append(1) or search(*a))
     for M in (family_h(FamilyPoint(1.0, 0.5)), named("M1").matrix, named("S6").matrix):
         assert "R4" not in [hit.rule_id for hit in exclusion_report(M).rules_fired]
     assert calls == []

@@ -113,6 +113,15 @@ def _pairings(elems):
 
 
 PAIRINGS = _pairings((0, 1, 2, 3, 4, 5))
+# [pairing, 3]: the indices in PAIRS of each pairing's three pairs.
+PAIRING_PAIRS = np.array([[PAIRS.index(p) for p in pairing] for pairing in PAIRINGS])
+
+
+def h2_hits_oracle(hit):
+    """From a (B, 15, 15) stack of 2x2 sub-CHM flags (residual <= eps):
+    [member, 15 * row pairing + column pairing] has all nine blocks hit."""
+    rows_hit = hit[:, PAIRING_PAIRS].all(axis=2)  # [member, row pairing, column pair]
+    return rows_hit[:, :, PAIRING_PAIRS].all(axis=3).reshape(len(hit), -1)
 
 
 def _block_ok(M, r1, r2, c1, c2, tol):
