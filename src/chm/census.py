@@ -15,9 +15,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (DEFAULT_TOL, CheckResult, Tolerance, _chm_residual, _gram_residuals, _out, _prepare,
-                   _Prepared, _unimodularity)
-from .errors import DimensionMismatchError, NotCHMError, NotUnimodularError, OracleDisagreementError
+from .core import DEFAULT_TOL, CheckResult, Tolerance, _out, _prepare, _Prepared, _unimodularity
+from .errors import (DimensionMismatchError, InvalidMatrixError, NotCHMError, NotUnimodularError,
+                     OracleDisagreementError)
 
 _PAIRS = list(itertools.combinations(range(6), 2))  # 15 index pairs
 _TRIPLES = list(itertools.combinations(range(6), 3))  # 20 index triples
@@ -107,13 +107,13 @@ def is_sub_chm_2x2(a, b, c, d, tol: Tolerance = DEFAULT_TOL) -> CheckResult:
     inputs the two residuals agree exactly, so disagreement beyond 10*eps
     signals corrupted input or a numeric fault.
     """
-    vals = []
-    for v in (a, b, c, d):
-        v = complex(v)
+    try:
+        a, b, c, d = vals = [complex(v) for v in (a, b, c, d)]
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise InvalidMatrixError(f"2x2 entries must be complex numbers: {exc}") from exc
+    for v in vals:
         if not abs(abs(v) - 1.0) <= tol.eps:  # NaN fails this test too
             raise NotUnimodularError(f"entry {v!r} is not unimodular")
-        vals.append(v)
-    a, b, c, d = vals
     residual = abs(a * d + b * c)
     alt = abs(a * c.conjugate() + b * d.conjugate())
     if abs(residual - alt) > 10 * tol.eps:
@@ -135,7 +135,7 @@ def _residual_table(P: _Prepared, tol: Tolerance) -> np.ndarray:
     shape = P.matrix.shape[-2:]
     if shape != (6, 6):
         raise DimensionMismatchError(f"expected a 6x6 matrix, got {shape}")
-    check = P.cached(_chm_residual, _unimodularity, _gram_residuals)
+    check = P.chm_residual()
     if check > tol.eps:
         raise NotCHMError(f"expected a CHM (residual {check:.3g})")
     residual, worst = P.cached(_pair_residuals)

@@ -55,23 +55,21 @@ class CheckResult:
 
 def as_matrix(entries) -> np.ndarray:
     """Coerce input to a square complex128 array with finite entries."""
-    m = np.asarray(entries, dtype=np.complex128)
-    if m.ndim != 2:
-        raise NonSquareError(f"expected a square matrix, got shape {m.shape}")
-    _as_stack(m)
-    return m
-
-
-def _as_stack(entries) -> np.ndarray:
-    # A validated (B, d, d) stack of matrices; one matrix is a stack of one.
-    m = np.asarray(entries, dtype=np.complex128)
-    if m.ndim not in (2, 3) or m.shape[-1] != m.shape[-2]:
+    m = _complex_array(entries)
+    if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise NonSquareError(f"expected a square matrix, got shape {m.shape}")
     if m.size == 0:
         raise InvalidMatrixError("matrix must be non-empty")
     if not np.isfinite(m).all():
         raise InvalidMatrixError("matrix entries must be finite")
-    return m.reshape(-1, *m.shape[-2:])
+    return m
+
+
+def _complex_array(entries) -> np.ndarray:
+    try:  # entries as a complex128 array; what numpy cannot convert is not a matrix
+        return np.asarray(entries, np.complex128)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise InvalidMatrixError(f"not a complex matrix: {exc}") from exc
 
 
 def _unimodularity(stack: np.ndarray) -> float:
@@ -93,8 +91,8 @@ def _gram_residuals(M: np.ndarray, work=None) -> np.ndarray:
 
 
 def gram_residual(M) -> float:
-    """Largest deviation of M M* from d times the identity, entrywise (worst member of a stack)."""
-    return float(_gram_residuals(_as_stack(M)).max())
+    """Largest deviation of M M* from d times the identity, entrywise."""
+    return float(_prepare(M).cached(_gram_residuals)[0])
 
 
 def is_chm(M, tol: Tolerance = DEFAULT_TOL) -> CheckResult:
@@ -102,14 +100,9 @@ def is_chm(M, tol: Tolerance = DEFAULT_TOL) -> CheckResult:
 
     The Gram deviation is compared against eps*d (it sums d unimodular
     terms per entry), so the stored residual is max(entry residual,
-    gram residual / d), keeping ok <=> residual <= eps. On a (B, d, d)
-    stack, ok means every member passes; the residual is the worst one's.
+    gram residual / d), keeping ok <=> residual <= eps.
     """
-    if np.ndim(M) == 3:
-        S = _as_stack(M)
-        residual = _chm_residual(S, _unimodularity(S), _gram_residuals(S))
-    else:  # a matrix: read from, and kept on, its prepared object
-        residual = _prepare(M).cached(_chm_residual, _unimodularity, _gram_residuals)
+    residual = _prepare(M).chm_residual()
     return CheckResult(residual <= tol.eps, residual)
 
 
@@ -145,6 +138,10 @@ class _Prepared:
         if build not in self._cache:
             self._cache[build] = build(self.matrix, *map(self.cached, uses))
         return self._cache[build]
+
+    def chm_residual(self) -> float:
+        # is_chm's residual, kept with the unimodularity and Gram residuals it is built from.
+        return self.cached(_chm_residual, _unimodularity, _gram_residuals)
 
 
 class _Workspace:
@@ -190,7 +187,7 @@ def _prepare(M) -> _Prepared:
     P = _KEPT.get(id(M))
     if P is not None and P.matrix is M:
         return P
-    M = np.asarray(M, np.complex128)
+    M = _complex_array(M)
     if M.ndim != 2 or not M.shape[0] == M.shape[1] <= 6:
         return _Prepared(as_matrix(M))  # raises unless square with d > 6
     return _recent(M.tobytes(), M.shape)

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .census import _P, _PAIRS_1, _T, _TRIPLES_1, _pair_residuals
-from .core import DEFAULT_TOL, Tolerance, _chm_residual, _gram_residuals, _prepare, _unimodularity, as_matrix
+from .core import DEFAULT_TOL, Tolerance, _prepare, as_matrix
 from .errors import (
     DimensionMismatchError,
     NotCHMError,
@@ -57,8 +57,10 @@ class EquivalenceWitness:
         for perm in (self.row_perm, self.col_perm):
             if sorted(perm) != list(range(1, d + 1)):
                 raise ValueError(f"not a permutation of 1..{d}: {perm}")
-        if len(self.row_phases) != d or len(self.col_phases) != d:
-            raise DimensionMismatchError("phase vectors must have length d")
+        for name in ("row_phases", "col_phases"):  # a list or tuple of phases becomes an array
+            object.__setattr__(self, name, np.asarray(getattr(self, name), np.complex128))
+        if self.row_phases.shape != (d,) or self.col_phases.shape != (d,):
+            raise DimensionMismatchError(f"phase vectors must have shape ({d},)")
 
     def to_obj(self) -> dict:
         return {
@@ -73,8 +75,8 @@ class EquivalenceWitness:
         return cls(
             row_perm=tuple(obj["rowPerm"]),
             col_perm=tuple(obj["colPerm"]),
-            row_phases=np.array([complex(e["re"], e["im"]) for e in obj["rowPhases"]]),
-            col_phases=np.array([complex(e["re"], e["im"]) for e in obj["colPhases"]]),
+            row_phases=[complex(e["re"], e["im"]) for e in obj["rowPhases"]],
+            col_phases=[complex(e["re"], e["im"]) for e in obj["colPhases"]],
         )
 
 
@@ -220,7 +222,7 @@ def are_equivalent(A, B, tol: Tolerance = DEFAULT_TOL, timeout: float | None = N
     if A.shape != B.shape:
         raise DimensionMismatchError(f"shapes differ: {A.shape} vs {B.shape}")
     for label, P in (("A", PA), ("B", PB)):
-        residual = P.cached(_chm_residual, _unimodularity, _gram_residuals)
+        residual = P.chm_residual()
         if residual > tol.eps:
             raise NotCHMError(f"{label} is not a CHM (residual {residual:.3g})")
 

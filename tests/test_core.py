@@ -28,6 +28,7 @@ from chm import (
     gram_residual,
     h2_block_structure,
     is_chm,
+    is_sub_chm_2x2,
     loads_matrix,
     matrix_from_obj,
     matrix_to_obj,
@@ -106,27 +107,41 @@ def test_as_matrix_rejects_bad_shapes():
         as_matrix(np.ones((2, 6, 6)))
 
 
-def test_is_chm_on_a_stack_reports_the_worst_member():
+def test_is_chm_and_gram_residual_reject_a_stack():
     stack = np.array([named(name).matrix for name in ("M1", "F6", "D0")])
-    assert is_chm(stack).ok
-    stack[1, 2, 3] *= 1 + 1e-6
-    check = is_chm(stack)
-    assert not check.ok
-    assert check.residual == max(is_chm(M).residual for M in stack)
-    stack[2, 0, 0] = np.nan
+    for check in (is_chm, gram_residual):
+        for bad in (stack, np.ones((2, 6, 5))):
+            with pytest.raises(NonSquareError):
+                check(bad)
+    M = np.array(named("D0").matrix)
+    M[0, 0] = np.nan
     with pytest.raises(InvalidMatrixError):
-        is_chm(stack)
-    with pytest.raises(NonSquareError):
-        is_chm(np.ones((2, 6, 5)))
+        is_chm(M)
 
 
-@pytest.mark.parametrize("shape", [(6, 6), (3, 6, 6)])
-def test_is_chm_validates_its_input_once(monkeypatch, shape):
-    M = family_h(FamilyPoint(1.0, 0.5)) * np.ones(shape)
+@pytest.mark.parametrize(
+    "bad",
+    [[[1, 1], [1]], [["a", "b"], ["c", "d"]], {"d": 2}, [[object(), 1], [1, 1]]],
+    ids=["ragged", "strings", "dict", "object"],
+)
+def test_input_numpy_cannot_convert_is_an_invalid_matrix(bad):
+    F6 = named("F6").matrix
+    checks = [as_matrix, is_chm, census_2x2, lambda m: are_equivalent(m, F6), lambda m: are_equivalent(F6, m),
+              lambda m: is_sub_chm_2x2(m, 1, 1, -1)]
+    for check in checks:
+        with pytest.raises(InvalidMatrixError) as info:
+            check(bad)
+        assert isinstance(info.value.__cause__, (TypeError, ValueError))
+
+
+@pytest.mark.usefixtures("fresh_recent")
+def test_is_chm_validates_its_input_once(monkeypatch):
+    M = family_h(FamilyPoint(1.0, 0.5))
     expected = max(float(np.abs(np.abs(M) - 1.0).max()), gram_residual(M) / 6)
+    chm.core._recent.cache_clear()  # gram_residual prepared M: forget it
     calls = []
-    validate = chm.core._as_stack
-    monkeypatch.setattr(chm.core, "_as_stack", lambda m: calls.append(1) or validate(m))
+    validate = chm.core.as_matrix
+    monkeypatch.setattr(chm.core, "as_matrix", lambda m: calls.append(1) or validate(m))
     check = is_chm(M)
     assert len(calls) == 1
     assert check.ok and check.residual == expected
@@ -143,6 +158,7 @@ def test_is_chm_validates_its_input_once(monkeypatch, shape):
         (chm.count_real_entries, ("M1",)),
         (chm.dephase, ("M1",)),
         (chm.is_chm, ("M1",)),
+        (chm.gram_residual, ("M1",)),
         (chm.mu_pair, ("F6", "D0")),
     ],
     ids=lambda v: getattr(v, "__name__", None) or "-".join(v),
@@ -152,10 +168,10 @@ def test_public_checks_validate_each_input_once(monkeypatch, check, names):
     # A registry array was validated at import and its prepared object is not
     # validated again; a writable copy of it is a new input, validated once.
     calls = []
-    validate = chm.core._as_stack
+    validate = chm.core.as_matrix
     for module in (chm, chm.core, chm.census, chm.equivalence, chm.mub, chm.scan):
-        if hasattr(module, "_as_stack"):
-            monkeypatch.setattr(module, "_as_stack", lambda m: calls.append(1) or validate(m))
+        if hasattr(module, "as_matrix"):
+            monkeypatch.setattr(module, "as_matrix", lambda m: calls.append(1) or validate(m))
     assert check(*(named(name).matrix for name in names)) is not None
     assert len(calls) == 0
     calls.clear()
@@ -301,10 +317,10 @@ def test_the_seven_matrix_checks_validate_a_fresh_input_once(monkeypatch):
     F6, D0 = named("F6").matrix, named("D0").matrix
     M = family_h(FamilyPoint(1.0, 0.5))
     seen = []
-    validate = chm.core._as_stack
+    validate = chm.core.as_matrix
     for module in (chm, chm.core, chm.census, chm.equivalence, chm.mub, chm.scan):
-        if hasattr(module, "_as_stack"):
-            monkeypatch.setattr(module, "_as_stack", lambda m: seen.append(np.asarray(m).tobytes()) or validate(m))
+        if hasattr(module, "as_matrix"):
+            monkeypatch.setattr(module, "as_matrix", lambda m: seen.append(np.asarray(m).tobytes()) or validate(m))
 
     def checks(F6, D0):
         census_2x2(M)
@@ -358,10 +374,10 @@ def test_a_list_complex64_or_matrix_form_of_a_recent_input_is_a_hit_without_vali
     M = apply_witness(named("D0").matrix, random_witness(rng(5), signs_only=True))
     P = chm.core._prepare(M)
     calls = []
-    validate = chm.core._as_stack
+    validate = chm.core.as_matrix
     for module in (chm, chm.core, chm.census, chm.equivalence, chm.mub, chm.scan):
-        if hasattr(module, "_as_stack"):
-            monkeypatch.setattr(module, "_as_stack", lambda m: calls.append(1) or validate(m))
+        if hasattr(module, "as_matrix"):
+            monkeypatch.setattr(module, "as_matrix", lambda m: calls.append(1) or validate(m))
     with warnings.catch_warnings():  # numpy's matrix subclass warns that it is deprecated
         warnings.simplefilter("ignore", PendingDeprecationWarning)
         wrapped = np.asmatrix(M)

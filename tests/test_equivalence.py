@@ -102,6 +102,17 @@ def test_apply_witness_dimension_mismatch():
 def test_witness_validation():
     with pytest.raises(ValueError):
         EquivalenceWitness((1, 1), (1, 2), np.ones(2, complex), np.ones(2, complex))
+    w = random_witness(rng(7))
+    M = named("M1").matrix
+    for form in (list, tuple):  # phases given as a list or tuple apply like arrays
+        again = EquivalenceWitness(w.row_perm, w.col_perm, form(w.row_phases), form(w.col_phases))
+        assert np.array_equal(apply_witness(M, again), apply_witness(M, w))
+    assert EquivalenceWitness(w.row_perm, w.col_perm, w.row_phases, w.col_phases).row_phases is w.row_phases
+    for bad in (w.row_phases[:5], w.row_phases.reshape(2, 3), np.ones((6, 1))):
+        with pytest.raises(DimensionMismatchError):
+            EquivalenceWitness(w.row_perm, w.col_perm, bad, w.col_phases)
+        with pytest.raises(DimensionMismatchError):
+            EquivalenceWitness(w.row_perm, w.col_perm, w.row_phases, bad)
 
 
 def test_witness_json_round_trip():

@@ -331,7 +331,7 @@ import numpy as np
 validated = []
 def profile(frame, event, arg):  # each validation made while chm imports, by the bytes it validated
     code = frame.f_code
-    if event == "call" and code.co_name == "_as_stack" and code.co_filename.endswith(os.path.join("chm", "core.py")):
+    if event == "call" and code.co_name == "as_matrix" and code.co_filename.endswith(os.path.join("chm", "core.py")):
         validated.append(np.asarray(frame.f_locals["entries"], np.complex128).tobytes().hex())
 sys.setprofile(profile)
 import chm
