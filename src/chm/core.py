@@ -77,17 +77,13 @@ def _unimodularity(stack: np.ndarray) -> float:
     return float(np.abs(np.abs(stack) - 1.0).max())
 
 
-def _gram_residuals(M: np.ndarray, work=None) -> np.ndarray:
+def _gram_residuals(M: np.ndarray) -> np.ndarray:
     # Per member of a validated matrix or (B, d, d) stack: largest |(M M* - d I)_jk|.
-    # With a workspace (see _Workspace) every array is written into its buffers.
     d = M.shape[-1]
     stack = M.reshape(-1, d, d)
-    out = _out(work)
-    conj = np.conjugate(stack, out=out("gram.conj", stack.shape))
-    G = np.matmul(stack, conj.transpose(0, 2, 1), out=out("gram", stack.shape))
+    G = np.matmul(stack, np.conjugate(stack).transpose(0, 2, 1))
     G.reshape(len(G), -1)[:, :: d + 1] -= d  # the diagonal, in place: no d * I is built
-    absG = np.abs(G, out=out("gram.abs", stack.shape, np.float64))
-    return absG.max(axis=(1, 2), out=out("gram.max", (len(G),), np.float64))
+    return np.abs(G).max(axis=(1, 2))
 
 
 def gram_residual(M) -> float:
@@ -145,8 +141,8 @@ class _Prepared:
 
 
 class _Workspace:
-    """Named buffers for the stack kernels' arrays, reused from one chunk of a
-    sweep to the next: a kernel's result lives until the next chunk's call."""
+    """Named buffers for the 2x2 kernel's arrays (census._pair_residuals), reused from
+    one chunk of a sweep to the next: its result lives until the next chunk's call."""
 
     __slots__ = ("_buffers",)
 

@@ -22,13 +22,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .census import _P, _PAIRS_1, _T, _TRIPLES_1, _pair_residuals
-from .core import DEFAULT_TOL, Tolerance, _prepare, as_matrix
-from .errors import (
-    DimensionMismatchError,
-    NotCHMError,
-    SearchTimeoutError,
-    ZeroPivotError,
-)
+from .core import DEFAULT_TOL, Tolerance, _entry_from_obj, _prepare, as_matrix
+from .errors import (DimensionMismatchError, InvalidMatrixError, NotCHMError, NotUnimodularError,
+                     SearchTimeoutError, ZeroPivotError)
 
 # Floor of the bound, max(_PREFILTER_ATOL, 2*eps), of every stage before the
 # final eps check: whole dephased forms per pivot, their rows per candidate
@@ -54,13 +50,24 @@ class EquivalenceWitness:
 
     def __post_init__(self):
         d = len(self.row_perm)
-        for perm in (self.row_perm, self.col_perm):
-            if sorted(perm) != list(range(1, d + 1)):
+        for name in ("row_perm", "col_perm"):  # integers, Python or numpy, kept as Python ints
+            perm = getattr(self, name)
+            try:  # a bool is an int to operator.index, but not an index here
+                entries = () if bool in map(type, perm) else tuple(map(operator.index, perm))
+            except TypeError:
+                entries = ()
+            if sorted(entries) != list(range(1, d + 1)):
                 raise ValueError(f"not a permutation of 1..{d}: {perm}")
+            object.__setattr__(self, name, entries)
         for name in ("row_phases", "col_phases"):  # a list or tuple of phases becomes an array
             object.__setattr__(self, name, np.asarray(getattr(self, name), np.complex128))
         if self.row_phases.shape != (d,) or self.col_phases.shape != (d,):
             raise DimensionMismatchError(f"phase vectors must have shape ({d},)")
+        # The search fits phases to ratios of entries within eps < 1e-3 of modulus
+        # one: after the first fit a phase is within ~4.01e-3 of the unit circle,
+        # after the refit on it. 1e-2 leaves 2.5x room; NaN and inf fail the test.
+        if not all(abs(abs(z) - 1.0) <= 1e-2 for z in self.row_phases.tolist() + self.col_phases.tolist()):
+            raise NotUnimodularError("witness phases must lie within 1e-2 of modulus one")
 
     def to_obj(self) -> dict:
         return {
@@ -71,12 +78,16 @@ class EquivalenceWitness:
         }
 
     @classmethod
-    def from_obj(cls, obj: dict) -> "EquivalenceWitness":
+    def from_obj(cls, obj) -> "EquivalenceWitness":
+        """Parse to_obj's form; each phase parses like a matrix entry."""
+        keys = ("rowPerm", "colPerm", "rowPhases", "colPhases")
+        if not isinstance(obj, dict) or not all(isinstance(obj.get(key), list) for key in keys):
+            raise InvalidMatrixError(f"witness object must have lists {', '.join(keys)}")
         return cls(
             row_perm=tuple(obj["rowPerm"]),
             col_perm=tuple(obj["colPerm"]),
-            row_phases=[complex(e["re"], e["im"]) for e in obj["rowPhases"]],
-            col_phases=[complex(e["re"], e["im"]) for e in obj["colPhases"]],
+            row_phases=list(map(_entry_from_obj, obj["rowPhases"])),
+            col_phases=list(map(_entry_from_obj, obj["colPhases"])),
         )
 
 

@@ -5,9 +5,9 @@ a block pairing was found, and whether the count lands in the impossible
 range for block-reducible matrices. The grid is walked lazily in row-major
 order, in fixed-size chunks: each chunk is one (B, 6, 6) stack of family
 matrices, checked once, with one 2x2 residual table per member from which
-the count and both flags are read. The kernels of every chunk write into
-one workspace that the sweep allocates once, and `write_scan` writes each
-chunk's rows as it finishes, so memory stays flat at any grid.
+the count and both flags are read. The 2x2 kernel of every chunk writes
+into one workspace that the sweep allocates once, and `write_scan` writes
+each chunk's rows as it finishes, so memory stays flat at any grid.
 """
 
 from __future__ import annotations
@@ -15,6 +15,7 @@ from __future__ import annotations
 import itertools
 import json
 import math
+from collections import namedtuple
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -27,8 +28,8 @@ from .families import _family_stack
 CSV_HEADER = "x1,x2,N,gram_residual,h2_found,forbidden"
 
 # Grid points per stack: larger stacks spread numpy's per-call cost over more
-# points. The kernels' arrays live in the sweep's workspace (~20 kB per point),
-# so no chunk frees and re-faults heap pages, but a larger chunk holds more.
+# points. Only the 2x2 kernel writes into the sweep's workspace (~17 kB per
+# point), so no chunk frees and re-faults its tables, but a larger chunk holds more.
 # Forked grid-16 scans on a 2-vCPU x86-64 box took 9.5-9.7 ms from 24 to 64
 # points and 10.5 ms at 12; peak RSS rose by 0.4 MB at 32 and 1.1 MB at 64.
 _CHUNK = 32
@@ -52,24 +53,8 @@ class ScanConfig:
             raise ValueError(f"format must be csv or json, got {self.fmt!r}")
 
 
-@dataclass(frozen=True)
-class CensusRecord:
-    x1: float
-    x2: float
-    n: int
-    gram_residual: float
-    h2_found: bool
-    forbidden: bool
-
-    def to_obj(self) -> dict:
-        return {
-            "x1": self.x1,
-            "x2": self.x2,
-            "N": self.n,
-            "gramResidual": self.gram_residual,
-            "h2Found": self.h2_found,
-            "forbidden": self.forbidden,
-        }
+# One scan row: its fields are the CSV columns, in order.
+CensusRecord = namedtuple("CensusRecord", "x1 x2 n gram_residual h2_found forbidden")
 
 
 def grid_values(grid_n: int) -> list[float]:
@@ -79,10 +64,10 @@ def grid_values(grid_n: int) -> list[float]:
 
 def _census_columns(x1s, x2s, eps: float, work=None) -> tuple[list, list, list, list]:
     # Counts, Gram residuals, H2 flags and forbidden flags of the points
-    # (x1s[m], x2s[m]), from one stack. A sweep's workspace takes the kernels'
-    # arrays; the table still checks the stack (CHM, 10*eps oracle) from them.
+    # (x1s[m], x2s[m]), from one stack. A sweep's workspace takes the 2x2
+    # kernel's arrays; the table still checks the stack (CHM, 10*eps oracle).
     S = _family_stack(x1s, x2s)
-    kernels = {_gram_residuals: _gram_residuals(S, work), _pair_residuals: _pair_residuals(S, work)}
+    kernels = {_gram_residuals: _gram_residuals(S), _pair_residuals: _pair_residuals(S, work)}
     P = _Prepared(S, kernels)
     table = _residual_table(P, Tolerance(eps))
     counts = np.count_nonzero(table <= eps, axis=(1, 2)).tolist()
@@ -90,13 +75,9 @@ def _census_columns(x1s, x2s, eps: float, work=None) -> tuple[list, list, list, 
     return counts, P.cached(_gram_residuals).tolist(), [p is not None for p in _pairings(table, eps)], forbidden
 
 
-def _records(columns) -> list[CensusRecord]:
-    return [CensusRecord(*row) for row in zip(*columns)]
-
-
 def scan_point(x1: float, x2: float, eps: float = DEFAULT_TOL.eps) -> CensusRecord:
     """Census record for one family point."""
-    return _records(([x1], [x2], *_census_columns([x1], [x2], eps)))[0]
+    return CensusRecord(x1, x2, *(column[0] for column in _census_columns([x1], [x2], eps)))
 
 
 def _chunks(config: ScanConfig):
@@ -127,7 +108,7 @@ def _sweep(config: ScanConfig, emit) -> dict:
 def run_scan(config: ScanConfig) -> tuple[list[CensusRecord], dict]:
     """All grid records in row-major (k1, k2) order, plus the summary."""
     records = []
-    summary = _sweep(config, lambda columns: records.extend(_records(columns)))
+    summary = _sweep(config, lambda columns: records.extend(map(CensusRecord._make, zip(*columns))))
     return records, summary
 
 
@@ -211,7 +192,7 @@ def write_records(records, summary, config: ScanConfig) -> None:
     """Write the scan output file (CSV rows or a JSON document), LF-terminated."""
     with _open(config) as fh:
         out = _Writer(fh, config.fmt, lambda x: _float_text(x, config.fmt))
-        out.rows((r.x1, r.x2, r.n, r.gram_residual, r.h2_found, r.forbidden) for r in records)
+        out.rows(records)
         out.end(summary)
 
 

@@ -12,6 +12,7 @@ from chm import (
     EquivalenceWitness,
     InvalidMatrixError,
     NotCHMError,
+    NotUnimodularError,
     SearchTimeoutError,
     Tolerance,
     ZeroPivotError,
@@ -113,6 +114,62 @@ def test_witness_validation():
             EquivalenceWitness(w.row_perm, w.col_perm, bad, w.col_phases)
         with pytest.raises(DimensionMismatchError):
             EquivalenceWitness(w.row_perm, w.col_perm, w.row_phases, bad)
+    # Permutations take integers only, Python or numpy, and keep Python ints.
+    for bad in ((1.0, 2.0, 3.0, 4.0, 5.0, 6.0), (True, 2, 3, 4, 5, 6), ("1", 2, 3, 4, 5, 6)):
+        with pytest.raises(ValueError, match="not a permutation"):
+            EquivalenceWitness(bad, w.col_perm, w.row_phases, w.col_phases)
+        with pytest.raises(ValueError, match="not a permutation"):
+            EquivalenceWitness(w.row_perm, bad, w.row_phases, w.col_phases)
+    numpy_perm = EquivalenceWitness(tuple(np.array(w.row_perm)), w.col_perm, w.row_phases, w.col_phases)
+    assert numpy_perm.row_perm == w.row_perm and all(type(k) is int for k in numpy_perm.row_perm)
+    # Phases must be finite and within 1e-2 of modulus one.
+    for value in (0.0, math.nan, math.inf, 1.011, 0.989j, complex(math.nan, 1.0)):
+        bad = w.row_phases.copy()
+        bad[3] = value
+        with pytest.raises(NotUnimodularError):
+            EquivalenceWitness(w.row_perm, w.col_perm, bad, w.col_phases)
+        with pytest.raises(NotUnimodularError):
+            EquivalenceWitness(w.row_perm, w.col_perm, w.row_phases, bad)
+    near = w.row_phases * 1.0099
+    assert EquivalenceWitness(w.row_perm, w.col_perm, near, w.col_phases).row_phases is near
+
+
+def _without(obj, key):
+    return {k: v for k, v in obj.items() if k != key}
+
+
+_GOOD_WITNESS = random_witness(rng(5)).to_obj()
+
+# Malformed witness objects: each raises InvalidMatrixError, as a malformed matrix does.
+MALFORMED_WITNESSES = [
+    _GOOD_WITNESS["rowPerm"],
+    None,
+    {"rowPerm": [1]},
+    _without(_GOOD_WITNESS, "colPerm"),
+    _without(_GOOD_WITNESS, "rowPhases"),
+    {**_GOOD_WITNESS, "rowPhases": {"re": 1.0, "im": 0.0}},
+    {**_GOOD_WITNESS, "colPhases": "phases"},
+    {**_GOOD_WITNESS, "rowPerm": 123456},
+    {**_GOOD_WITNESS, "rowPhases": [{"re": "x", "im": 0}] * 6},
+    {**_GOOD_WITNESS, "rowPhases": [{"re": True, "im": 0}] * 6},
+    {**_GOOD_WITNESS, "colPhases": [{"re": 1.0}] * 6},
+    {**_GOOD_WITNESS, "colPhases": [{"re": 1.0, "im": 0.0, "x": 0}] * 6},
+    {**_GOOD_WITNESS, "colPhases": [[1.0, 0.0]] * 6},
+    {**_GOOD_WITNESS, "rowPhases": [{"re": 10**400, "im": 0}] * 6},
+]
+
+
+@pytest.mark.parametrize("obj", MALFORMED_WITNESSES)
+def test_witness_from_obj_rejects_malformed_objects(obj):
+    with pytest.raises(InvalidMatrixError):
+        EquivalenceWitness.from_obj(obj)
+
+
+def test_witness_from_obj_checks_what_the_constructor_checks():
+    with pytest.raises(ValueError, match="not a permutation"):
+        EquivalenceWitness.from_obj({**_GOOD_WITNESS, "rowPerm": [1.0, 2.0, 3.0, 4.0, 5.0, 6.0]})
+    with pytest.raises(NotUnimodularError):
+        EquivalenceWitness.from_obj({**_GOOD_WITNESS, "rowPhases": [{"re": 0, "im": 0}] * 6})
 
 
 def test_witness_json_round_trip():

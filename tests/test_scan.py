@@ -30,7 +30,7 @@ from chm import (
 from chm.census import _pair_residuals, _residual_table
 from chm.core import DEFAULT_TOL, _gram_residuals, _Prepared, _Workspace
 from chm.families import _family_stack
-from chm.scan import _CHUNK, _census_columns, _records, write_records, write_scan
+from chm.scan import _CHUNK, CSV_HEADER, _census_columns, write_records, write_scan
 from util import (
     brute_force_census_2x2,
     brute_force_h2,
@@ -66,12 +66,23 @@ def test_run_scan_matches_scalar_oracles(grid_n):
     assert summary["points"] == grid_n**2
 
 
+def test_census_record_is_a_plain_row_in_csv_column_order():
+    assert CensusRecord._fields == tuple(CSV_HEADER.lower().split(","))
+    records, _ = run_scan(ScanConfig(grid_n=3, out_path="unused"))
+    xs = grid_values(3)
+    x1s, x2s = zip(*[(x1, x2) for x1 in xs for x2 in xs])
+    rows = list(zip(x1s, x2s, *_census_columns(x1s, x2s, DEFAULT_TOL.eps)))
+    assert all(type(row) is tuple for row in rows)
+    assert records == rows  # (x1, x2, N, gram_residual, h2_found, forbidden)
+    assert len(set(records)) == 9
+
+
 @pytest.mark.parametrize("grid_n", [16384, 65536])
 def test_scan_stack_covers_the_grid_corner(grid_n):
     # the last 4x4 grid points lie within 3*pi/grid_n of x1 = x2 = pi/2
     corner = grid_values(grid_n)[-4:]
     x1s, x2s = zip(*[(x1, x2) for x1 in corner for x2 in corner])
-    records = _records((x1s, x2s, *_census_columns(x1s, x2s, DEFAULT_TOL.eps)))
+    records = list(map(CensusRecord._make, zip(x1s, x2s, *_census_columns(x1s, x2s, DEFAULT_TOL.eps))))
     assert [(r.x1, r.x2) for r in records] == list(zip(x1s, x2s))
     assert all(r.h2_found and not r.forbidden for r in records)
 
@@ -128,9 +139,9 @@ def test_scan_computes_gram_residuals_once_per_chunk(monkeypatch):
     calls = []
     real = chm.core._gram_residuals
 
-    def counting(M, work=None):
+    def counting(M):
         calls.append(len(M))
-        return real(M, work)
+        return real(M)
 
     for module in (chm.core, chm.census, chm.scan, chm.equivalence):
         if hasattr(module, "_gram_residuals"):
@@ -143,8 +154,9 @@ def test_scan_computes_gram_residuals_once_per_chunk(monkeypatch):
 
 
 def test_workspace_kernels_match_fresh_arrays_bit_for_bit():
-    # One workspace through chunks that shrink and grow: every table, gap and
-    # Gram residual equals the fresh-array kernels' and the oracles', bit for bit.
+    # One workspace through chunks that shrink and grow: every table and gap
+    # equals the fresh-array kernel's and the oracle's, bit for bit, and every
+    # Gram residual (the kernel takes no workspace) equals the oracle's.
     xs = grid_values(64)
     points = [(x1, x2) for x1 in xs for x2 in xs]
     work = _Workspace()
@@ -157,8 +169,7 @@ def test_workspace_kernels_match_fresh_arrays_bit_for_bit():
         oracle, oracle_gap = pair_residuals_oracle(S)
         assert table.tobytes() == fresh.tobytes() == oracle.tobytes()
         assert gap == fresh_gap == oracle_gap
-        grams = _gram_residuals(S, work)
-        assert grams.tobytes() == _gram_residuals(S).tobytes() == gram_residuals_oracle(S).tobytes()
+        assert _gram_residuals(S).tobytes() == gram_residuals_oracle(S).tobytes()
 
 
 # Grids 2 to 5 fit one partial chunk, 8 and 16 fill two and eight, and 10

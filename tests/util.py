@@ -190,7 +190,8 @@ def scan_file_oracle(records, summary, fmt):
     """A scan file's text built whole: every CSV line joined, or json_dumps of
     the whole {"records": ..., "summary": ...} document."""
     if fmt == "json":
-        return json_dumps({"records": [r.to_obj() for r in records], "summary": summary}) + "\n"
+        keys = ("x1", "x2", "N", "gramResidual", "h2Found", "forbidden")
+        return json_dumps({"records": [dict(zip(keys, r)) for r in records], "summary": summary}) + "\n"
     lines = ["x1,x2,N,gram_residual,h2_found,forbidden"] + [
         f"{r.x1:.12g},{r.x2:.12g},{r.n},{r.gram_residual:.12g},"
         f"{str(r.h2_found).lower()},{str(r.forbidden).lower()}"
