@@ -25,6 +25,7 @@ _TRIPLES = list(itertools.combinations(range(6), 3))  # 20 index triples
 _P = np.array(_PAIRS)
 _R1, _R2 = _P.T
 _T = np.array(_TRIPLES)
+_T0, _T1, _T2 = _T.T.copy()  # each triple's first, second and third index
 # [row triple, 3]: the pair indices of its row pairs (a, b), (a, c), (b, c).
 _TRIPLE_PAIRS = np.array([[_PAIRS.index(p) for p in itertools.combinations(t, 2)] for t in _TRIPLES])
 
@@ -174,7 +175,7 @@ def _pair_residuals(M, work=None) -> tuple[np.ndarray, float]:
 
 def census_2x2(M, tol: Tolerance = DEFAULT_TOL) -> CensusResult:
     """Count and locate the 2x2 sub-CHMs among the 225 submatrices of a 6x6 CHM."""
-    hits = np.flatnonzero(_residual_table(_prepare(M), tol)[0] <= tol.eps)
+    hits = (_residual_table(_prepare(M), tol)[0] <= tol.eps).ravel().nonzero()[0]
     return CensusResult(count=len(hits), locations=tuple(_LOCS_2X2[k] for k in hits.tolist()))
 
 
@@ -190,13 +191,16 @@ def find_3x3_sub_chms(M, tol: Tolerance = DEFAULT_TOL) -> list[SubmatrixLoc]:
         raise DimensionMismatchError(f"expected a 6x6 matrix, got {P.matrix.shape}")
     if P.cached(_unimodularity) > tol.eps:
         raise NotUnimodularError(f"entries not unimodular: off modulus one by {P.cached(_unimodularity):.3g}")
-    return [_LOCS_3X3[k] for k in np.flatnonzero(P.cached(_gram_3x3) <= 3 * tol.eps).tolist()]
+    return [_LOCS_3X3[k] for k in (P.cached(_gram_3x3) <= 3 * tol.eps).ravel().nonzero()[0].tolist()]
 
 
 def _gram_3x3(M) -> np.ndarray:
     # [row triple, column triple]: the largest modulus of its three row inner products.
-    Q = M[_R1] * M[_R2].conj()  # [row pair, column]: the products each inner product sums
-    return np.abs(Q[:, _T].sum(-1))[_TRIPLE_PAIRS].max(axis=1)
+    Q = M.take(_R1, 0) * np.conjugate(M.take(_R2, 0))  # [row pair, column]: the products each sums
+    S = Q.take(_T0, 1)  # [row pair, column triple]: (a + b) + c, the order sum(-1) adds three terms
+    S += Q.take(_T1, 1)
+    S += Q.take(_T2, 1)
+    return np.abs(S).take(_TRIPLE_PAIRS, 0).max(axis=1)
 
 
 def _pairings(table, eps: float) -> list:

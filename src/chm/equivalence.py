@@ -49,15 +49,18 @@ class EquivalenceWitness:
     col_phases: np.ndarray
 
     def __post_init__(self):
-        d = len(self.row_perm)
-        for name in ("row_perm", "col_perm"):  # integers, Python or numpy, kept as Python ints
+        perms = {}
+        for name in ("row_perm", "col_perm"):  # sized, of integers (Python or numpy), kept as Python ints
             perm = getattr(self, name)
-            try:  # a bool is an int to operator.index, but not an index here
-                entries = () if bool in map(type, perm) else tuple(map(operator.index, perm))
+            try:  # an int, None or an iterator has no len; a bool is an int to operator.index, but not an index here
+                len(perm)
+                perms[name] = None if bool in map(type, perm) else tuple(map(operator.index, perm))
             except TypeError:
-                entries = ()
-            if sorted(entries) != list(range(1, d + 1)):
-                raise ValueError(f"not a permutation of 1..{d}: {perm}")
+                perms[name] = None
+        d = len(perms["row_perm"] or perms["col_perm"] or ())  # the row permutation's length, else the column's
+        for name, entries in perms.items():
+            if entries is None or sorted(entries) != list(range(1, d + 1)):
+                raise ValueError(f"not a permutation of 1..{d}: {getattr(self, name)}")
             object.__setattr__(self, name, entries)
         for name in ("row_phases", "col_phases"):  # a list or tuple of phases becomes an array
             object.__setattr__(self, name, np.asarray(getattr(self, name), np.complex128))
@@ -79,16 +82,18 @@ class EquivalenceWitness:
 
     @classmethod
     def from_obj(cls, obj) -> "EquivalenceWitness":
-        """Parse to_obj's form; each phase parses like a matrix entry."""
+        """Parse to_obj's form; each phase parses like a matrix entry, and an error names it."""
         keys = ("rowPerm", "colPerm", "rowPhases", "colPhases")
         if not isinstance(obj, dict) or not all(isinstance(obj.get(key), list) for key in keys):
             raise InvalidMatrixError(f"witness object must have lists {', '.join(keys)}")
-        return cls(
-            row_perm=tuple(obj["rowPerm"]),
-            col_perm=tuple(obj["colPerm"]),
-            row_phases=list(map(_entry_from_obj, obj["rowPhases"])),
-            col_phases=list(map(_entry_from_obj, obj["colPhases"])),
-        )
+        phases = {"rowPhases": [], "colPhases": []}
+        for key, parsed in phases.items():
+            for n, entry in enumerate(obj[key]):
+                try:
+                    parsed.append(_entry_from_obj(entry))
+                except InvalidMatrixError as exc:
+                    raise InvalidMatrixError(f"witness {key}[{n}]: {exc}") from None
+        return cls(tuple(obj["rowPerm"]), tuple(obj["colPerm"]), phases["rowPhases"], phases["colPhases"])
 
 
 @dataclass(frozen=True)
@@ -135,7 +140,7 @@ def apply_witness(M, witness: EquivalenceWitness) -> np.ndarray:
 def count_real_entries(M, tol: Tolerance = DEFAULT_TOL) -> int:
     """Number of entries whose imaginary part is within eps of zero."""
     M = _prepare(M).matrix
-    return int((np.abs(M.imag) <= tol.eps).sum())
+    return int(np.count_nonzero(np.abs(M.imag) <= tol.eps))
 
 
 def real_submatrices_3x2(M, tol: Tolerance = DEFAULT_TOL) -> list[RealSubmatrixReport]:
@@ -179,8 +184,7 @@ def _build_witness(A, B, sigma, tau, eps) -> EquivalenceWitness | None:
     # of A: first fitted to R's first row and column; if that misses, refitted
     # to all of R by three rounds of rank-1 phase averaging (the column phases
     # from every row, then the row phases from every column).
-    s, t = np.array(sigma), np.array(tau)
-    Bp = B[s[:, None], t]
+    Bp = B.take(sigma, 0).take(tau, 1)
     R = A / Bp
     rho = R[:, 0]
     gamma = R[0, :] / rho[0]
@@ -192,12 +196,9 @@ def _build_witness(A, B, sigma, tau, eps) -> EquivalenceWitness | None:
             rho /= np.abs(rho)
         if np.abs(rho[:, None] * Bp * gamma[None, :] - A).max() > eps:
             return None
-    return EquivalenceWitness(  # row_phases[sigma[j]] = rho[j]; argsort inverts a permutation
-        row_perm=tuple(j + 1 for j in sigma),
-        col_perm=tuple(k + 1 for k in tau),
-        row_phases=rho[np.argsort(s)],
-        col_phases=gamma[np.argsort(t)],
-    )
+    row_phases, col_phases = np.empty_like(rho), np.empty_like(gamma)
+    row_phases[list(sigma)], col_phases[list(tau)] = rho, gamma  # row_phases[sigma[j]] = rho[j]
+    return EquivalenceWitness(tuple(j + 1 for j in sigma), tuple(k + 1 for k in tau), row_phases, col_phases)
 
 
 def are_equivalent(A, B, tol: Tolerance = DEFAULT_TOL, timeout: float | None = None):
@@ -254,12 +255,12 @@ def are_equivalent(A, B, tol: Tolerance = DEFAULT_TOL, timeout: float | None = N
         _check_deadline(deadline, (s0,), d)
         F, sig_f, rows_f = PB.cached(_screen) if block >= d else _screen(B, slice(s0, s0 + block))
         close = np.abs(sig_f - sig_a).max(axis=(-2, -1)) <= atol
-        for i in np.flatnonzero(close.any(axis=1)).tolist():
+        for i in close.any(axis=1).nonzero()[0].tolist():
             _check_deadline(deadline, (s0 + i,), d)
-            ts = np.flatnonzero(close[i]).tolist()
+            ts = close[i].nonzero()[0].tolist()
             # match[n, j, k]: under pivot (s0 + i, ts[n]), row j of the form may be
             # row k of Ad. Built `block` pivots at a time to bound memory as F is.
-            forms, rows = F[i, ts], rows_f[i, ts]
+            forms, rows = F[i].take(ts, 0), rows_f[i].take(ts, 0)
             match = np.concatenate([
                 np.abs(rows[c : c + block, :, None] - rows_a).max(axis=(-2, -1)) <= atol
                 for c in range(0, len(ts), block)

@@ -51,7 +51,7 @@ class ExclusionReport:
 
 
 def _unit_columns(M) -> np.ndarray:
-    norms = np.linalg.norm(M, axis=0)
+    norms = np.sqrt(np.add.reduce((M.conj() * M).real, axis=0))  # numpy's column 2-norm, as its norm computes it
     if norms.min() <= 0.0:
         raise InvalidMatrixError("basis matrix has a zero column")
     return M / norms

@@ -324,11 +324,14 @@ def test_3x3_census_matches_looped_oracle(oracle_matrices):
 
 def test_3x3_table_from_row_pair_products_is_the_old_formula_bit_for_bit():
     # The table gathers each row pair's products once, not once per row triple;
-    # the products and their summation order are the old formula's.
+    # the products and their summation order are the old formula's. The census
+    # takes any unimodular 6x6, so the order is pinned off the CHMs too, and the
+    # kernel itself takes entries off modulus one.
     gen = rng(83)
     points = [family_h(random_point(gen)) for _ in range(200)]
     inputs = [named(name).matrix for name in registry_names()]
     inputs += points + [apply_witness(M, random_witness(gen)) for M in points]
+    inputs += [random_unimodular(gen) for _ in range(50)] + list(off_modulus_one().values())
     for M in inputs:
         assert np.array_equal(_gram_3x3(M), gram_3x3_oracle(M))
 

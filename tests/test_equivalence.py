@@ -120,6 +120,12 @@ def test_witness_validation():
             EquivalenceWitness(bad, w.col_perm, w.row_phases, w.col_phases)
         with pytest.raises(ValueError, match="not a permutation"):
             EquivalenceWitness(w.row_perm, bad, w.row_phases, w.col_phases)
+    # A permutation is a sized collection: an int, None or an iterator is none.
+    for bad in (5, None, iter(range(1, 7))):
+        with pytest.raises(ValueError, match="not a permutation"):
+            EquivalenceWitness(bad, w.col_perm, w.row_phases, w.col_phases)
+        with pytest.raises(ValueError, match="not a permutation"):
+            EquivalenceWitness(w.row_perm, bad, w.row_phases, w.col_phases)
     numpy_perm = EquivalenceWitness(tuple(np.array(w.row_perm)), w.col_perm, w.row_phases, w.col_phases)
     assert numpy_perm.row_perm == w.row_perm and all(type(k) is int for k in numpy_perm.row_perm)
     # Phases must be finite and within 1e-2 of modulus one.
@@ -161,7 +167,10 @@ MALFORMED_WITNESSES = [
 
 @pytest.mark.parametrize("obj", MALFORMED_WITNESSES)
 def test_witness_from_obj_rejects_malformed_objects(obj):
-    with pytest.raises(InvalidMatrixError):
+    # A list of bad phases is reported at its field and first index.
+    fields = [k for k in ("rowPhases", "colPhases")
+              if isinstance(obj, dict) and isinstance(obj.get(k), list) and obj[k] != _GOOD_WITNESS[k]]
+    with pytest.raises(InvalidMatrixError, match=rf"^witness {fields[0]}\[0\]: " if fields else None):
         EquivalenceWitness.from_obj(obj)
 
 
@@ -490,7 +499,8 @@ def test_only_the_entrywise_check_accepts():
 def test_count_real_entries(name, expected):
     # F6: entries exp(2*pi*i*j*k/6) are real iff j*k = 0 mod 3, which is
     # 20 of the 36 index pairs.
-    assert count_real_entries(named(name).matrix) == expected
+    count = count_real_entries(named(name).matrix)
+    assert count == expected and type(count) is int
 
 
 @pytest.mark.parametrize("entries", [[[1, 2, 3]], [[np.nan, 1], [1, 1]]])

@@ -19,8 +19,10 @@ from chm import (
     is_chm,
     mu_pair,
     named,
+    registry_names,
 )
-from util import noisy_image, random_phases, random_witness, rng
+from chm.mub import _unit_columns
+from util import noisy_image, random_phases, random_point, random_witness, rng
 
 F2 = np.array([[1, 1], [1, -1]], dtype=complex)
 
@@ -79,6 +81,17 @@ def test_mu_pair_invariant_under_column_factors():
             col_phases=random_phases(gen),
         )
         assert mu_pair(F6, apply_witness(D0, w)).max_deviation == pytest.approx(base, abs=1e-12)
+
+
+def test_unit_columns_are_the_norm_formula_bit_for_bit():
+    # mu_pair divides each column by its 2-norm, computed as np.linalg.norm does.
+    gen = rng(97)
+    points = [family_h(random_point(gen)) for _ in range(50)]
+    F6 = named("F6").matrix
+    inputs = [named(name).matrix for name in registry_names()] + [3 * F6, F6 / math.sqrt(6)]
+    inputs += points + [apply_witness(M, random_witness(gen)) for M in points]
+    for M in inputs:
+        assert np.array_equal(_unit_columns(M), M / np.linalg.norm(M, axis=0))
 
 
 def test_exclusions_m1():
