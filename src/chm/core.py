@@ -141,8 +141,9 @@ class _Prepared:
 
 
 class _Workspace:
-    """Named buffers for the 2x2 kernel's arrays (census._pair_residuals), reused from
-    one chunk of a sweep to the next: its result lives until the next chunk's call."""
+    """Named byte buffers for the 2x2 kernel's arrays (census._pair_residuals), reused
+    from one chunk of a sweep to the next: its result lives until the next chunk's call.
+    A buffer is untyped, so a kernel may view one it has freed at another dtype."""
 
     __slots__ = ("_buffers",)
 
@@ -150,12 +151,12 @@ class _Workspace:
         self._buffers = {}
 
     def view(self, name, shape, dtype=np.complex128):
-        # The buffer of a name at a shape: made on first use, remade if too small.
-        size = math.prod(shape)
+        # The buffer of a name as an array of a shape and dtype: made on first use, remade if too small.
+        size = math.prod(shape) * np.dtype(dtype).itemsize
         buf = self._buffers.get(name)
-        if buf is None or buf.size < size or buf.dtype != dtype:
-            buf = self._buffers[name] = np.empty(size, dtype)
-        return buf[:size].reshape(shape)
+        if buf is None or buf.size < size:
+            buf = self._buffers[name] = np.empty(size, np.uint8)
+        return buf[:size].view(dtype).reshape(shape)
 
 
 def _out(work):

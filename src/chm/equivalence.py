@@ -281,7 +281,7 @@ def _sorted_table(M, pair_residuals) -> np.ndarray:
     # Each residual of A (two products of entries within delta) is then within
     # 4*delta*(1 + eps) < 16.1*eps of U''s, and sorting is 1-Lipschitz in the max
     # norm: a gap over 17*eps (the rest covers rounding) proves a miss.
-    return np.sort(pair_residuals[0], axis=None)
+    return np.sort(pair_residuals, axis=None)
 
 
 def _a_side(A):

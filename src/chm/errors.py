@@ -38,7 +38,7 @@ class DomainError(ChmError):
 
 
 class OracleDisagreementError(ChmError):
-    """Two supposedly equivalent predicates disagreed beyond the diagnostic bound."""
+    """Two equivalent predicates disagreed. Kept exported; no chm function raises it."""
 
 
 class SearchTimeoutError(ChmError):

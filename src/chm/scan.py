@@ -28,7 +28,7 @@ from .families import _family_stack
 CSV_HEADER = "x1,x2,N,gram_residual,h2_found,forbidden"
 
 # Grid points per stack: larger stacks spread numpy's per-call cost over more
-# points. Only the 2x2 kernel writes into the sweep's workspace (~17 kB per
+# points. Only the 2x2 kernel writes into the sweep's workspace (10.8 kB per
 # point), so no chunk frees and re-faults its tables, but a larger chunk holds more.
 # Forked grid-16 scans on a 2-vCPU x86-64 box took 9.5-9.7 ms from 24 to 64
 # points and 10.5 ms at 12; peak RSS rose by 0.4 MB at 32 and 1.1 MB at 64.
@@ -65,14 +65,14 @@ def grid_values(grid_n: int) -> list[float]:
 def _census_columns(x1s, x2s, eps: float, work=None) -> tuple[list, list, list, list]:
     # Counts, Gram residuals, H2 flags and forbidden flags of the points
     # (x1s[m], x2s[m]), from one stack. A sweep's workspace takes the 2x2
-    # kernel's arrays; the table still checks the stack (CHM, 10*eps oracle).
+    # kernel's arrays; the table still checks that every member is a CHM.
     S = _family_stack(x1s, x2s)
     kernels = {_gram_residuals: _gram_residuals(S), _pair_residuals: _pair_residuals(S, work)}
     P = _Prepared(S, kernels)
-    table = _residual_table(P, Tolerance(eps))
-    counts = np.count_nonzero(table <= eps, axis=(1, 2)).tolist()
+    hit = _residual_table(P, Tolerance(eps)) <= eps
+    counts = np.count_nonzero(hit, axis=(1, 2)).tolist()
     forbidden = [not forbidden_count_check(n) for n in counts]
-    return counts, P.cached(_gram_residuals).tolist(), [p is not None for p in _pairings(table, eps)], forbidden
+    return counts, P.cached(_gram_residuals).tolist(), [p is not None for p in _pairings(hit)], forbidden
 
 
 def scan_point(x1: float, x2: float, eps: float = DEFAULT_TOL.eps) -> CensusRecord:

@@ -40,6 +40,7 @@ from util import (
     h2_hits_oracle,
     looped_census_3x3,
     off_modulus_one,
+    pair_residuals_oracle,
     random_phases,
     random_point,
     random_h2_reducible,
@@ -88,6 +89,52 @@ def test_2x2_predicates_agree_on_random_quadruples():
     primary = np.abs(a * d + b * c)
     alt = np.abs(a * np.conj(c) + b * np.conj(d))
     assert np.abs(primary - alt).max() <= 1e-12
+
+
+def _gap_bound(u):
+    # The largest gap between |ad + bc| and |a conj(c) + b conj(d)| when every
+    # entry is within u of modulus one (census._residual_table), plus rounding.
+    return 4 * (1 + u) ** 2 * (2 + u) * u + 1e-15
+
+
+@pytest.mark.parametrize("eps", [1e-14, 1e-9, 1e-5, 9.9e-4])
+def test_chm_check_bounds_the_row_orthogonality_gap(eps):
+    # Each registry matrix, 400 times: every modulus moved by up to eps with a
+    # random sign, every phase by up to eps. On each input that passes the CHM
+    # check, no submatrix's two 2x2 residuals differ by more than the bound at
+    # the input's own unimodularity u, below the 10*eps a cross-check would allow.
+    gen = rng(97)
+    tol = Tolerance(eps)
+    passed = 0
+    for name in registry_names():
+        M = named(name).matrix
+        for _ in range(400):
+            moduli = 1 + gen.choice((-eps, eps), M.shape) * gen.random(M.shape)
+            X = M * moduli * np.exp(1j * eps * gen.uniform(-1, 1, M.shape))
+            if is_chm(X, tol).ok:
+                passed += 1
+                u = float(np.abs(np.abs(X) - 1).max())
+                assert u <= eps and pair_residuals_oracle(X[None])[1] <= _gap_bound(u) < 10 * eps
+    assert passed > 1000
+
+
+@pytest.mark.parametrize("eps", [1e-14, 1e-9, 1e-5, 9.9e-4])
+def test_2x2_predicate_bounds_the_row_orthogonality_gap(eps):
+    # The scalar form: random quads, each modulus moved by up to eps. Those
+    # whose entries all lie within eps of the unit circle pass the predicate's
+    # own check; it reports |ad + bc| for each of them.
+    gen = rng(101)
+    quads = np.exp(2j * np.pi * gen.random((2000, 4))) * (1 + eps * gen.uniform(-1, 1, (2000, 4)))
+    checked = 0
+    for a, b, c, d in quads.tolist():
+        u = max(abs(abs(z) - 1) for z in (a, b, c, d))
+        if u > eps:
+            continue
+        checked += 1
+        residual = is_sub_chm_2x2(a, b, c, d, Tolerance(eps)).residual
+        assert residual == abs(a * d + b * c)
+        assert abs(residual - abs(a * c.conjugate() + b * d.conjugate())) <= _gap_bound(u)
+    assert checked > 1900
 
 
 @pytest.mark.parametrize(
@@ -220,7 +267,7 @@ def test_family_block_structure_is_natural():
     for start in range(0, len(points), 512):
         S = _family_stack(*zip(*points[start : start + 512]))
         for eps in (1e-14, 1e-9):
-            assert _pairings(_residual_table(_Prepared(S), Tolerance(eps)), eps) == [(0, 0)] * len(S)
+            assert _pairings(_residual_table(_Prepared(S), Tolerance(eps)) <= eps) == [(0, 0)] * len(S)
 
 
 def test_f6_block_structure():
@@ -379,7 +426,7 @@ def test_single_matrix_pairing_search_is_the_first_flag_of_the_stack_search():
                 for _ in range(gen.integers(4)):
                     rows, cols = PAIRING_PAIRS[gen.integers(15, size=2)]
                     table[m, rows[:, None], cols] = eps
-            found = _pairings(table, eps)
+            found = _pairings(table <= eps)
             for m, hits in enumerate(h2_hits_oracle(table <= eps)):
                 flags = np.flatnonzero(hits).tolist()
                 flag_counts.append(len(flags))

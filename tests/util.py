@@ -162,8 +162,8 @@ def residual_table_oracle(S):
 
 def pair_residuals_oracle(S):
     """(B, 15, 15) residuals |ad + bc| of a (B, 6, 6) stack and their largest gap
-    to |a conj(c) + b conj(d)|, in fresh arrays from fancy indexing: the row-pair
-    kernel's arithmetic before it could write into a workspace."""
+    to |a conj(c) + b conj(d)|, in fresh arrays from fancy indexing: the 2x2
+    kernel's arithmetic, with the cross-check that the CHM check made redundant."""
     r1, r2 = np.array(PAIRS).T
     A, B = S[:, r1], S[:, r2]
     ad = A[..., r1]
