@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import DEFAULT_TOL, CheckResult, Tolerance, _out, _prepare, _Prepared, _unimodularity
+from .core import DEFAULT_TOL, CheckResult, Tolerance, _prepare, _Prepared, _unimodularity
 from .errors import DimensionMismatchError, InvalidMatrixError, NotCHMError, NotUnimodularError
 
 _PAIRS = list(itertools.combinations(range(6), 2))  # 15 index pairs
@@ -39,7 +39,7 @@ FORBIDDEN_COUNTS = frozenset({10, 11, 12, 13, 14, 15, 16, 18})
 
 # The 15 ways to split 0..5 into three pairs, in lexicographic order: as
 # residual-table pair indices, as 1-based pairs, and as bit masks of pair indices.
-_PAIRING_INDEX = [t for t in itertools.combinations(range(15), 3) if len(set(_P[list(t)].flat)) == 6]
+_PAIRING_INDEX = [t for t in itertools.combinations(range(15), 3) if len({i for k in t for i in _PAIRS[k]}) == 6]
 _PAIRINGS_1 = [tuple(_PAIRS_1[k] for k in t) for t in _PAIRING_INDEX]
 _BITS = 1 << np.arange(15)  # pair index q as bit q of a mask
 _PAIRING_MASKS = [sum(1 << k for k in t) for t in _PAIRING_INDEX]
@@ -141,20 +141,17 @@ def _residual_table(P: _Prepared, tol: Tolerance) -> np.ndarray:
     return P.cached(_pair_residuals)
 
 
-def _pair_residuals(M, work=None) -> np.ndarray:
+def _pair_residuals(M) -> np.ndarray:
     # The (B, 15, 15) residuals |ad + bc| of a finite 6x6 matrix or (B, 6, 6) stack, from
-    # four gathers of its flat entries, into a workspace's buffers (core._Workspace) if given.
-    # Each product writes in place into its first operand: any other aliasing can change
-    # how numpy rounds it. The residual takes the bytes of the free buffer, pair.tmp.
+    # four gathers of its flat entries. Each product writes in place into its first
+    # operand: any other aliasing can change how numpy rounds it.
     S = M.reshape(-1, 36)
-    table = (len(S), 15, 15)
-    out = _out(work)
-    ad = S.take(_A, 1, out("pair.ad", table), "clip")
-    ad *= S.take(_D, 1, out("pair.tmp", table), "clip")
-    bc = S.take(_B, 1, out("pair.bc", table), "clip")
-    bc *= S.take(_C, 1, out("pair.tmp", table), "clip")
+    ad = S.take(_A, 1, None, "clip")
+    ad *= S.take(_D, 1, None, "clip")
+    bc = S.take(_B, 1, None, "clip")
+    bc *= S.take(_C, 1, None, "clip")
     ad += bc
-    return np.abs(ad, out=out("pair.tmp", table, np.float64))
+    return np.abs(ad)
 
 
 def census_2x2(M, tol: Tolerance = DEFAULT_TOL) -> CensusResult:

@@ -121,14 +121,12 @@ class _Prepared:
 
     __slots__ = ("matrix", "_cache")
 
-    def __init__(self, M: np.ndarray, cache=None):
-        # cache: builds already made, by builder (a sweep builds its kernels
-        # into its workspace and hands them in).
+    def __init__(self, M: np.ndarray):
         if M.flags.writeable:
             M = M.view()
             M.flags.writeable = False
         self.matrix = M
-        self._cache = {} if cache is None else cache
+        self._cache = {}
 
     def cached(self, build, *uses):
         if build not in self._cache:
@@ -138,35 +136,6 @@ class _Prepared:
     def chm_residual(self) -> float:
         # is_chm's residual, kept with the unimodularity and Gram residuals it is built from.
         return self.cached(_chm_residual, _unimodularity, _gram_residuals)
-
-
-class _Workspace:
-    """Named byte buffers for the 2x2 kernel's arrays (census._pair_residuals), reused
-    from one chunk of a sweep to the next: its result lives until the next chunk's call.
-    A buffer is untyped, so a kernel may view one it has freed at another dtype."""
-
-    __slots__ = ("_buffers",)
-
-    def __init__(self):
-        self._buffers = {}
-
-    def view(self, name, shape, dtype=np.complex128):
-        # The buffer of a name as an array of a shape and dtype: made on first use, remade if too small.
-        size = math.prod(shape) * np.dtype(dtype).itemsize
-        buf = self._buffers.get(name)
-        if buf is None or buf.size < size:
-            buf = self._buffers[name] = np.empty(size, np.uint8)
-        return buf[:size].view(dtype).reshape(shape)
-
-
-def _out(work):
-    # A stack kernel's out= source: the workspace's buffers, or with none,
-    # None for every array, so numpy allocates it fresh.
-    return _fresh if work is None else work.view
-
-
-def _fresh(name, shape, dtype=None):
-    return None
 
 
 # One prepared object per registry matrix, by the id of its read-only array,

@@ -5,9 +5,9 @@ a block pairing was found, and whether the count lands in the impossible
 range for block-reducible matrices. The grid is walked lazily in row-major
 order, in fixed-size chunks: each chunk is one (B, 6, 6) stack of family
 matrices, checked once, with one 2x2 residual table per member from which
-the count and both flags are read. The 2x2 kernel of every chunk writes
-into one workspace that the sweep allocates once, and `write_scan` writes
-each chunk's rows as it finishes, so memory stays flat at any grid.
+the count and both flags are read. A chunk is built like any single
+matrix, in fresh arrays, and `write_scan` writes its rows as it finishes,
+so memory stays flat at any grid.
 """
 
 from __future__ import annotations
@@ -21,17 +21,19 @@ from pathlib import Path
 
 import numpy as np
 
-from .census import _pair_residuals, _pairings, _residual_table, forbidden_count_check
-from .core import DEFAULT_TOL, Tolerance, _gram_residuals, _Prepared, _Workspace, json_dumps
+from .census import _pairings, _residual_table, forbidden_count_check
+from .core import DEFAULT_TOL, Tolerance, _gram_residuals, _Prepared, json_dumps
 from .families import _family_stack
 
 CSV_HEADER = "x1,x2,N,gram_residual,h2_found,forbidden"
 
 # Grid points per stack: larger stacks spread numpy's per-call cost over more
-# points. Only the 2x2 kernel writes into the sweep's workspace (10.8 kB per
-# point), so no chunk frees and re-faults its tables, but a larger chunk holds more.
-# Forked grid-16 scans on a 2-vCPU x86-64 box took 9.5-9.7 ms from 24 to 64
-# points and 10.5 ms at 12; peak RSS rose by 0.4 MB at 32 and 1.1 MB at 64.
+# points, but from ~37 points a 2x2 table (3.6 kB per point) passes 128 KiB,
+# glibc's default mmap threshold, and every chunk faults its tables in again.
+# Forked grid-16 scans on a 2-vCPU x86-64 box, 10 pairs against 32: 16, 24, 48
+# and 64 points won 3, 5, 1 and 1 on the fastest child (7.19, 7.13, 7.83 and
+# 7.88 ms, against 6.9-7.3). A fresh grid-64 scan took 47, 76, 203, 8030 and
+# 8792 minor faults at 16, 24, 32, 48 and 64 points (7.5k at 40).
 _CHUNK = 32
 
 
@@ -62,13 +64,10 @@ def grid_values(grid_n: int) -> list[float]:
     return [-math.pi / 2 + k * math.pi / grid_n for k in range(1, grid_n + 1)]
 
 
-def _census_columns(x1s, x2s, eps: float, work=None) -> tuple[list, list, list, list]:
+def _census_columns(x1s, x2s, eps: float) -> tuple[list, list, list, list]:
     # Counts, Gram residuals, H2 flags and forbidden flags of the points
-    # (x1s[m], x2s[m]), from one stack. A sweep's workspace takes the 2x2
-    # kernel's arrays; the table still checks that every member is a CHM.
-    S = _family_stack(x1s, x2s)
-    kernels = {_gram_residuals: _gram_residuals(S), _pair_residuals: _pair_residuals(S, work)}
-    P = _Prepared(S, kernels)
+    # (x1s[m], x2s[m]), from one stack checked like a single matrix.
+    P = _Prepared(_family_stack(x1s, x2s))
     hit = _residual_table(P, Tolerance(eps)) <= eps
     counts = np.count_nonzero(hit, axis=(1, 2)).tolist()
     forbidden = [not forbidden_count_check(n) for n in counts]
@@ -83,13 +82,12 @@ def scan_point(x1: float, x2: float, eps: float = DEFAULT_TOL.eps) -> CensusReco
 def _chunks(config: ScanConfig):
     # The grid in row-major (k1, k2) order, _CHUNK points at a time, walked
     # lazily; each chunk as columns (x1s, x2s, counts, Gram residuals, H2
-    # flags, forbidden flags). One workspace serves every chunk.
+    # flags, forbidden flags).
     xs = grid_values(config.grid_n)
     points = itertools.product(xs, xs)
-    work = _Workspace()
     while chunk := list(itertools.islice(points, _CHUNK)):
         x1s, x2s = zip(*chunk)
-        yield (x1s, x2s, *_census_columns(x1s, x2s, config.tol.eps, work))
+        yield (x1s, x2s, *_census_columns(x1s, x2s, config.tol.eps))
 
 
 def _sweep(config: ScanConfig, emit) -> dict:

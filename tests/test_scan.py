@@ -28,7 +28,7 @@ from chm import (
     scan_point,
 )
 from chm.census import _pair_residuals, _residual_table
-from chm.core import DEFAULT_TOL, _gram_residuals, _Prepared, _Workspace
+from chm.core import DEFAULT_TOL, _gram_residuals, _Prepared
 from chm.families import _family_stack
 from chm.scan import _CHUNK, CSV_HEADER, _census_columns, write_records, write_scan
 from util import (
@@ -153,20 +153,17 @@ def test_scan_computes_gram_residuals_once_per_chunk(monkeypatch):
     assert [r.gram_residual for r in first] == real(_family_stack(*zip(*[(r.x1, r.x2) for r in first]))).tolist()
 
 
-def test_workspace_kernels_match_fresh_arrays_bit_for_bit():
-    # One workspace through chunks that shrink and grow: every table equals the
-    # fresh-array kernel's and the oracle's, bit for bit, and every Gram
-    # residual (the kernel takes no workspace) equals the oracle's. The gap to
-    # the row-orthogonality form is bounded in test_census.py.
+def test_chunk_kernels_match_the_oracles_bit_for_bit():
+    # Chunks that shrink and grow, each built with fresh arrays: every 2x2
+    # table and every Gram residual equals the oracle's, bit for bit. The
+    # gap to the row-orthogonality form is bounded in test_census.py.
     xs = grid_values(64)
     points = [(x1, x2) for x1 in xs for x2 in xs]
-    work = _Workspace()
     start = 0
     for size in [_CHUNK, 1, 5, 12, _CHUNK - 1, _CHUNK, 7] * 20:
         S = _family_stack(*zip(*points[start : start + size]))
         start += size
-        table = _pair_residuals(S, work)
-        assert table.tobytes() == _pair_residuals(S).tobytes() == pair_residuals_oracle(S)[0].tobytes()
+        assert _pair_residuals(S).tobytes() == pair_residuals_oracle(S)[0].tobytes()
         assert _gram_residuals(S).tobytes() == gram_residuals_oracle(S).tobytes()
 
 
@@ -260,29 +257,36 @@ def test_scan_peak_memory_does_not_grow_with_the_grid(tmp_path):
 _SCAN_FAULTS = """
 import resource, sys
 from chm import ScanConfig, run_scan
-config = ScanConfig(grid_n=int(sys.argv[1]), out_path="unused")
+from chm.cli import main
+grid_n, out_path = sys.argv[1:]
 before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
-run_scan(config)
+if out_path == "-":
+    run_scan(ScanConfig(grid_n=int(grid_n), out_path="unused"))
+else:
+    main(["scan", "--grid", grid_n, "--out", out_path])
 print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
 """
 
 
-def _scan_faults(grid_n):
-    # Minor page faults of one run_scan in a fresh process.
+def _scan_faults(grid_n, out_path="-"):
+    # Minor page faults of one scan in a fresh process: run_scan, or with an
+    # out_path the streamed `chm scan` that writes it.
     package_root = str(Path(chm.__file__).resolve().parent.parent)
     out = subprocess.run(
-        [sys.executable, "-c", _SCAN_FAULTS, str(grid_n)],
+        [sys.executable, "-c", _SCAN_FAULTS, str(grid_n), str(out_path)],
         capture_output=True,
         text=True,
         check=True,
         env={**os.environ, "PYTHONPATH": package_root},
     )
-    return int(out.stdout)
+    return int(out.stdout.splitlines()[-1])
 
 
 @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="ru_minflt as Linux counts it")
-def test_scan_chunks_do_not_refault_the_heap():
-    # A chunk's temporaries are reused from the heap, not handed back to the
-    # OS and faulted in again: under one minor fault per extra grid point.
-    extra = _scan_faults(64) - _scan_faults(16)
-    assert extra < 64**2 - 16**2, extra
+def test_scan_chunks_do_not_refault_the_heap(tmp_path):
+    # Each chunk builds fresh arrays; malloc reuses their heap pages rather than
+    # handing them back to the OS and faulting them in again: under one minor
+    # fault per extra grid point, for run_scan and for the streamed `chm scan`.
+    for small, large in (("-", "-"), (tmp_path / "16.csv", tmp_path / "64.csv")):
+        extra = _scan_faults(64, large) - _scan_faults(16, small)
+        assert extra < 64**2 - 16**2, (str(large), extra)
