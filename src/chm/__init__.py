@@ -41,7 +41,6 @@ from .errors import (
     NonSquareError,
     NotCHMError,
     NotUnimodularError,
-    OracleDisagreementError,
     SearchTimeoutError,
     UnknownNameError,
     ZeroPivotError,
@@ -58,6 +57,6 @@ from .families import (
     registry_names,
 )
 from .mub import ExclusionReport, MuVerdict, RuleHit, exclusion_report, mu_pair
-from .scan import CensusRecord, ScanConfig, grid_values, run_scan, scan_point
+from .scan import CensusRecord, ScanConfig, grid_values, run_scan, scan_point, write_scan
 
 __version__ = "0.1.0"

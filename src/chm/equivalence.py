@@ -59,7 +59,7 @@ class EquivalenceWitness:
                 perms[name] = None
         d = len(perms["row_perm"] or perms["col_perm"] or ())  # the row permutation's length, else the column's
         for name, entries in perms.items():
-            if entries is None or sorted(entries) != list(range(1, d + 1)):
+            if not entries or sorted(entries) != list(range(1, d + 1)):
                 raise ValueError(f"not a permutation of 1..{d}: {getattr(self, name)}")
             object.__setattr__(self, name, entries)
         for name in ("row_phases", "col_phases"):  # a list or tuple of phases becomes an array

@@ -37,10 +37,6 @@ class DomainError(ChmError):
     """Parameter outside the admissible domain of a family constructor."""
 
 
-class OracleDisagreementError(ChmError):
-    """Two equivalent predicates disagreed. Kept exported; no chm function raises it."""
-
-
 class SearchTimeoutError(ChmError):
     """Equivalence search exceeded its time budget."""
 

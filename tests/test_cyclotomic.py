@@ -1,9 +1,10 @@
 """Float verdicts against the exact cyclotomic oracle on the 12th-root lattice.
 
 The registry and its images under 12th-root phases and permutations are
-decided exactly in integers mod 12. The float checks must agree at every
-admissible tolerance, because on the lattice every residual is either zero
-or a fixed algebraic number far above any eps.
+decided exactly in integers mod 12: the censuses, the real count, R1, R2,
+R3 (equivalence to D0) and the registry's equivalence classes. The float
+checks must agree at every admissible tolerance, because on the lattice
+every residual is either zero or a fixed algebraic number far above any eps.
 """
 
 import itertools
@@ -15,6 +16,7 @@ from chm import (
     EquivalenceWitness,
     Tolerance,
     apply_witness,
+    are_equivalent,
     census_2x2,
     count_real_entries,
     exclusion_report,
@@ -28,6 +30,7 @@ from util import (
     ZETA,
     exact_census_2x2,
     exact_census_3x3,
+    exact_equivalent,
     exact_real_count,
     random_witness,
     rng,
@@ -46,6 +49,9 @@ EXACT_COUNTS = {
     "F6": (45, 28, 20),
     "S6": (0, 40, 16),
 }
+
+# The registry's classes under complex equivalence, decided exactly
+EXACT_CLASSES = ({"M1", "D0"}, {"M2_w1", "M2_w2", "F6"}, {"S6"})
 
 
 def _lattice_witness(gen):
@@ -98,6 +104,19 @@ def test_float_verdicts_match_exact_oracle(M, eps):
     assert ("R2" in fired) == bool(exact_3x3)
     if exact_3x3:
         assert fired["R2"] == exact_3x3[0].to_obj()
+    assert ("R3" in fired) == exact_equivalent(K, zeta_exponents(named("D0").matrix))
+
+
+def test_registry_equivalence_classes_are_exact():
+    names = registry_names()
+    K = {name: zeta_exponents(named(name).matrix) for name in names}
+    exact = {(a, b) for a in names for b in names if exact_equivalent(K[a], K[b])}
+    assert exact == {(a, b) for members in EXACT_CLASSES for a in members for b in members}
+    assert len(exact) == 14
+    for eps in (1e-14, 1e-9, 1e-4):
+        tol = Tolerance(eps)
+        found = {(a, b) for a in names for b in names if are_equivalent(named(a).matrix, named(b).matrix, tol)}
+        assert found == exact, eps
 
 
 def test_exact_gaps_exceed_every_admissible_eps():

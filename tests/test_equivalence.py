@@ -126,6 +126,11 @@ def test_witness_validation():
             EquivalenceWitness(bad, w.col_perm, w.row_phases, w.col_phases)
         with pytest.raises(ValueError, match="not a permutation"):
             EquivalenceWitness(w.row_perm, bad, w.row_phases, w.col_phases)
+    # An empty witness is no witness, as an empty matrix is no matrix.
+    with pytest.raises(ValueError, match=r"not a permutation of 1\.\.0"):
+        EquivalenceWitness((), (), [], [])
+    with pytest.raises(ValueError, match=r"not a permutation of 1\.\.0"):
+        EquivalenceWitness.from_obj({"rowPerm": [], "colPerm": [], "rowPhases": [], "colPhases": []})
     numpy_perm = EquivalenceWitness(tuple(np.array(w.row_perm)), w.col_perm, w.row_phases, w.col_phases)
     assert numpy_perm.row_perm == w.row_perm and all(type(k) is int for k in numpy_perm.row_perm)
     # Phases must be finite and within 1e-2 of modulus one.

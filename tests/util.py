@@ -357,6 +357,23 @@ def exact_real_count(K):
     return int(np.isin(K, (0, 6)).sum())
 
 
+def exact_equivalent(KA, KB):
+    """A ~ B iff some row order sigma and pivot column t make B's form, dephased
+    at (sigma[0], t), equal A's dephased form mod 12, up to a column order.
+
+    Dephasing absorbs every row and column phase, so only the permutations
+    are searched: all sigma at once. Columns compare as base-12 codes.
+    """
+    d = len(KA)
+    weights = 12 ** np.arange(d)
+    A = KA - KA[:, :1] - KA[:1, :] + KA[0, 0]
+    R = KB[np.array(list(itertools.permutations(range(d))))]  # R[p, j] = B's row sigma_p[j]
+    # G[p, t, j, k] = R[p, j, k] - R[p, j, t] - R[p, 0, k] + R[p, 0, t]
+    G = R[:, None] - R.transpose(0, 2, 1)[..., None] - R[:, None, :1] + R[:, 0, :, None, None]
+    codes = np.sort(weights @ (G % 12), axis=-1)  # [p, t]: the sorted column codes
+    return bool((codes == np.sort(weights @ (A % 12))).all(axis=-1).any())
+
+
 # --- unscreened oracle for the equivalence search -----------------------------
 
 
