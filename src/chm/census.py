@@ -4,12 +4,13 @@ A 2x2 submatrix [a b; c d] with unimodular entries is proportional to a
 Hadamard matrix exactly when a*d + b*c = 0. The 6x6 censuses enumerate
 all C(6,2)^2 = 225 and C(6,3)^2 = 400 submatrices in lexicographic order
 (row sets outer, column sets inner), which fixes the reported ordering.
-Locations are read from tables built once at import, in that order; the
-3x3 census sums the entrywise row-pair products over each column triple.
+Locations are read from tables built on a census's first report, in that
+order; the 3x3 census sums the entrywise row-pair products over each column triple.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 
@@ -62,14 +63,18 @@ class SubmatrixLoc:
         return {"rows": list(self.rows), "cols": list(self.cols)}
 
 
-# Every census location, row sets outer and column sets inner, so that flat
-# index 15 * p + q (2x2) or 20 * r + c (3x3) of a hit table names its location.
-_LOCS_2X2 = tuple(SubmatrixLoc(rows=r, cols=c) for r in _PAIRS_1 for c in _PAIRS_1)
-_LOCS_3X3 = tuple(SubmatrixLoc(rows=r, cols=c) for r in _TRIPLES_1 for c in _TRIPLES_1)
+@functools.cache
+def _locations(size: int) -> tuple[SubmatrixLoc, ...]:
+    # Every 2x2 or 3x3 census location, row sets outer and column sets inner, so that
+    # flat index 15 * p + q (2x2) or 20 * r + c (3x3) of a hit table names its location.
+    sets = _PAIRS_1 if size == 2 else _TRIPLES_1
+    return tuple(SubmatrixLoc(rows=r, cols=c) for r in sets for c in sets)
 
 
 @dataclass(frozen=True)
 class CensusResult:
+    """The 2x2 sub-CHMs of a matrix: their count and their locations, in census order."""
+
     count: int
     locations: tuple[SubmatrixLoc, ...]
 
@@ -157,7 +162,8 @@ def _pair_residuals(M) -> np.ndarray:
 def census_2x2(M, tol: Tolerance = DEFAULT_TOL) -> CensusResult:
     """Count and locate the 2x2 sub-CHMs among the 225 submatrices of a 6x6 CHM."""
     hits = (_residual_table(_prepare(M), tol)[0] <= tol.eps).ravel().nonzero()[0]
-    return CensusResult(count=len(hits), locations=tuple(_LOCS_2X2[k] for k in hits.tolist()))
+    locs = _locations(2)
+    return CensusResult(count=len(hits), locations=tuple(locs[k] for k in hits.tolist()))
 
 
 def find_3x3_sub_chms(M, tol: Tolerance = DEFAULT_TOL) -> list[SubmatrixLoc]:
@@ -172,7 +178,8 @@ def find_3x3_sub_chms(M, tol: Tolerance = DEFAULT_TOL) -> list[SubmatrixLoc]:
         raise DimensionMismatchError(f"expected a 6x6 matrix, got {P.matrix.shape}")
     if P.cached(_unimodularity) > tol.eps:
         raise NotUnimodularError(f"entries not unimodular: off modulus one by {P.cached(_unimodularity):.3g}")
-    return [_LOCS_3X3[k] for k in (P.cached(_gram_3x3) <= 3 * tol.eps).ravel().nonzero()[0].tolist()]
+    locs = _locations(3)
+    return [locs[k] for k in (P.cached(_gram_3x3) <= 3 * tol.eps).ravel().nonzero()[0].tolist()]
 
 
 def _gram_3x3(M) -> np.ndarray:

@@ -8,10 +8,10 @@ matrix or parameters, 4 search timeout, 5 I/O error.
 
 from __future__ import annotations
 
-import argparse
 import functools
 import os
 import sys
+import types
 
 from .census import census_2x2, find_3x3_sub_chms, h2_block_structure
 from .core import (
@@ -21,11 +21,13 @@ from .core import (
     loads_matrix,
     matrix_to_obj,
 )
-from .equivalence import are_equivalent, count_real_entries, dephase
 from .errors import ChmError, SearchTimeoutError, UnknownNameError
 from .families import FamilyPoint, family_h, named, registry_entries
-from .mub import exclusion_report, mu_pair
 from .scan import ScanConfig, summary_line, write_scan
+
+# equiv, mu, exclusions, dephase and real call equivalence and mub through the
+# package, which imports them on first use: no other command loads them.
+_chm = sys.modules[__package__]
 
 EXIT_NEGATIVE = 1
 EXIT_UNKNOWN_NAME = 2
@@ -94,12 +96,12 @@ def _h2(M, tol):
 
 
 def _mu(F, G, tol):
-    verdict = mu_pair(F, G, tol)
+    verdict = _chm.mu_pair(F, G, tol)
     return verdict.to_obj(), 0 if verdict.ok else EXIT_NEGATIVE
 
 
 def _cmd_equiv(args) -> int:
-    witness = are_equivalent(
+    witness = _chm.are_equivalent(
         _resolve_matrix(args.a), _resolve_matrix(args.b), _tol(args), timeout=args.timeout
     )
     if witness is None:
@@ -148,11 +150,11 @@ _COMMANDS = (
      _cmd_equiv),
     _matrix_command("mu", "check mutual unbiasedness of two bases", ("f", "g"), _mu),
     _matrix_command("exclusions", "evaluate trio-exclusion rules", ("matrix",),
-                    lambda M, tol: (exclusion_report(M, tol).to_obj(), 0)),
+                    lambda M, tol: (_chm.exclusion_report(M, tol).to_obj(), 0)),
     _matrix_command("dephase", "print the dephased form", ("matrix",),
-                    lambda M, tol: (matrix_to_obj(dephase(M, tol)), 0)),
+                    lambda M, tol: (matrix_to_obj(_chm.dephase(M, tol)), 0)),
     _matrix_command("real", "count real entries", ("matrix",),
-                    lambda M, tol: ({"count": count_real_entries(M, tol)}, 0)),
+                    lambda M, tol: ({"count": _chm.count_real_entries(M, tol)}, 0)),
     ("scan", "grid sweep of the family census",
      (("--grid", {"type": int, "required": True, "help": "points per axis (>= 2)"}),
       ("--out", {"required": True, "help": "output file path"}),
@@ -171,7 +173,7 @@ def _convert(spec, text):
 
 
 def _read_plain(argv):
-    """The namespace argparse gives a plain argv, read from _COMMANDS, or None.
+    """A namespace of the fields argparse gives a plain argv, read from _COMMANDS, or None.
 
     Plain: a command name, then its exact option names each followed by one
     value that does not start with "-", and as many positionals as it takes,
@@ -206,18 +208,19 @@ def _read_plain(argv):
         spec.get("required") and arg not in seen for arg, spec in arguments
     ):
         return None
-    return argparse.Namespace(**values)
+    return types.SimpleNamespace(**values)
 
 
-class _Parser(argparse.ArgumentParser):
-    # argparse exits 2 on a usage error, but 2 means "unknown name" here.
-    def error(self, message):
-        self.print_usage(sys.stderr)
-        self.exit(EXIT_INVALID, f"{self.prog}: error: {message}\n")
+def build_parser():
+    """The chm argparse parser, with every command's subparser."""
+    import argparse  # only here: a plain argv is read without it
 
+    class _Parser(argparse.ArgumentParser):
+        # argparse exits 2 on a usage error, but 2 means "unknown name" here.
+        def error(self, message):
+            self.print_usage(sys.stderr)
+            self.exit(EXIT_INVALID, f"{self.prog}: error: {message}\n")
 
-def build_parser() -> argparse.ArgumentParser:
-    """The chm parser, with every command's subparser."""
     parser = _Parser(
         prog="chm",
         description="Structure checks and censuses for 6x6 complex Hadamard matrices.",
@@ -233,8 +236,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
-    # A plain invocation needs no parser (argparse's first build in a process costs
-    # ~20x the reader); argparse handles help, usage errors and every other form.
+    # A plain invocation imports and builds no parser (argparse's first build in a process
+    # costs ~20x the reader); argparse handles help, usage errors and every other form.
     args = _read_plain(argv)
     if args is None:
         args = build_parser().parse_args(argv)

@@ -41,6 +41,8 @@ class FamilyPoint:
 
 @dataclass(frozen=True)
 class RegistryEntry:
+    """A named registry matrix (read-only) and where it comes from."""
+
     name: str
     matrix: np.ndarray
     provenance: str  # "primary": a fixture of the built-in claims; "external": catalog control

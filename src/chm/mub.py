@@ -33,6 +33,8 @@ class MuVerdict:
 
 @dataclass(frozen=True)
 class RuleHit:
+    """A fired rule and its machine-checkable evidence."""
+
     rule_id: str
     evidence: dict
 

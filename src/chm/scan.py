@@ -39,6 +39,8 @@ _CHUNK = 32
 
 @dataclass(frozen=True)
 class ScanConfig:
+    """A grid sweep: grid_n points per axis, written to out_path as csv or json."""
+
     grid_n: int
     out_path: str | Path
     tol: Tolerance = DEFAULT_TOL

@@ -6,12 +6,18 @@ as it stood before it built only the invoked command's subparser.
 COLUMNS=80 fixes argparse's line wrapping.
 """
 
+import argparse
 import hashlib
 import itertools
+import json
+import os
+import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import chm
 from chm import cli
 from chm.cli import main
 
@@ -171,14 +177,15 @@ def test_usage_errors(capsys, argv, err):
 
 
 def _count_parsers(monkeypatch):
+    # Every parser build_parser makes, top-level and sub, is an argparse.ArgumentParser.
     built = []
-    init = cli._Parser.__init__
+    init = argparse.ArgumentParser.__init__
 
     def counting_init(self, *args, **kwargs):
         built.append(kwargs.get("prog"))
         init(self, *args, **kwargs)
 
-    monkeypatch.setattr(cli._Parser, "__init__", counting_init)
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
     return built
 
 
@@ -274,3 +281,53 @@ def test_the_argparse_forms_of_a_scan_write_the_same_bytes(capsys, tmp_path):
     assert main(["scan", "--grid", "4", "--out", str(a)]) == 0
     assert main(["scan", "--grid=4", f"--out={b}", "--form", "csv"]) == 0
     assert a.read_bytes() == b.read_bytes()
+
+
+# --- what a command imports -----------------------------------------------------
+
+_FRESH_CLI = """
+import contextlib, io, json, sys
+from chm.cli import main
+def deferred():
+    return [name for name in ("argparse", "chm.equivalence", "chm.mub") if name in sys.modules]
+def run(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    return [argv, code, out.getvalue(), err.getvalue(), deferred()]
+imported = deferred()
+print(json.dumps([imported] + [run(json.loads(argv)) for argv in sys.argv[1:]]))
+"""
+
+
+def test_a_command_imports_only_what_it_runs(tmp_path):
+    # In one fresh process, in this order: importing chm.cli and a plain census or
+    # scan load neither argparse nor equivalence nor mub; equiv, mu, exclusions, real
+    # and dephase load equivalence and mub and print their pinned bytes; a usage
+    # error and --help, the process's first argparse use, print their pinned text.
+    pinned = {argv: (code, digest) for argv, code, digest in STDOUT_SHA256
+              if argv[0] in ("equiv", "mu", "exclusions", "real", "dephase") and argv[1] == "M1"}
+    assert len(pinned) == 5
+    plain = [["census", "M1"], ["scan", "--grid", "4", "--out", str(tmp_path / "s.csv")]]
+    argvs = plain + [list(argv) for argv in pinned] + [list(USAGE_ERRORS[0][0]), ["--help"]]
+    out = subprocess.run(
+        [sys.executable, "-c", _FRESH_CLI] + [json.dumps(argv) for argv in argvs],
+        capture_output=True,
+        text=True,
+        check=True,
+        env={**os.environ, "PYTHONPATH": str(Path(chm.__file__).resolve().parent.parent)},
+    )
+    imported, census, scan, *deferred, usage, top_help = json.loads(out.stdout)
+    assert imported == []
+    assert STDOUT_SHA256[0][0] == ("census", "M1")
+    assert (census[1], _sha256(census[2]), *census[3:]) == (0, STDOUT_SHA256[0][2], "", [])
+    assert scan[1:] == [0, "points=16 minN=17 maxN=75 forbidden=0\n", "", []]
+    for argv, code, stdout, stderr, loaded in deferred:
+        assert (code, _sha256(stdout)) == pinned[tuple(argv)] and stderr == "", argv
+        assert "argparse" not in loaded
+    assert loaded == ["chm.equivalence", "chm.mub"]
+    assert usage[1:] == [3, "", USAGE_ERRORS[0][1], ["argparse", "chm.equivalence", "chm.mub"]]
+    assert top_help[1:4] == [0, TOP_HELP, ""]

@@ -1,10 +1,11 @@
 """Float verdicts against the exact cyclotomic oracle on the 12th-root lattice.
 
 The registry and its images under 12th-root phases and permutations are
-decided exactly in integers mod 12: the censuses, the real count, R1, R2,
-R3 (equivalence to D0) and the registry's equivalence classes. The float
-checks must agree at every admissible tolerance, because on the lattice
-every residual is either zero or a fixed algebraic number far above any eps.
+decided exactly in integers mod 12: the censuses, the H2 pairing, the real
+count, R1, R2, R3 (equivalence to D0), the registry's equivalence classes
+and the equivalence of pairs of images. The float checks must agree at
+every admissible tolerance, because on the lattice every residual is
+either zero or a fixed algebraic number far above any eps.
 """
 
 import itertools
@@ -21,6 +22,7 @@ from chm import (
     count_real_entries,
     exclusion_report,
     find_3x3_sub_chms,
+    h2_block_structure,
     is_sub_chm_2x2,
     named,
     registry_names,
@@ -31,6 +33,7 @@ from util import (
     exact_census_2x2,
     exact_census_3x3,
     exact_equivalent,
+    exact_h2,
     exact_real_count,
     random_witness,
     rng,
@@ -97,6 +100,7 @@ def test_float_verdicts_match_exact_oracle(M, eps):
     exact_3x3 = exact_census_3x3(K)
     exact_real = exact_real_count(K)
     assert list(census_2x2(M, tol).locations) == exact_2x2
+    assert h2_block_structure(M, tol) == exact_h2(K)
     assert find_3x3_sub_chms(M, tol) == exact_3x3
     assert count_real_entries(M, tol) == exact_real
     fired = {hit.rule_id: hit.evidence for hit in exclusion_report(M, tol).rules_fired}
@@ -117,6 +121,26 @@ def test_registry_equivalence_classes_are_exact():
         tol = Tolerance(eps)
         found = {(a, b) for a in names for b in names if are_equivalent(named(a).matrix, named(b).matrix, tol)}
         assert found == exact, eps
+
+
+def _lattice_image_pairs():
+    # One lattice image of each registry matrix against one of every other (and
+    # of itself): 14 of the 36 ordered pairs are equivalent, 22 are not.
+    gen = rng(84)
+    names = registry_names()
+    image = lambda name: apply_witness(named(name).matrix, _lattice_witness(gen))
+    return [pytest.param(a, b, image(a), image(b), id=f"{a}-{b}") for a in names for b in names]
+
+
+@pytest.mark.parametrize("a, b, A, B", _lattice_image_pairs())
+def test_equivalence_of_lattice_images_matches_exact_oracle(a, b, A, B):
+    exact = exact_equivalent(zeta_exponents(A), zeta_exponents(B))
+    assert exact == any({a, b} <= members for members in EXACT_CLASSES)
+    for eps in (1e-14, 1e-9, 1e-4):
+        witness = are_equivalent(A, B, Tolerance(eps))
+        assert (witness is not None) == exact, eps
+        if witness is not None:
+            assert np.abs(apply_witness(B, witness) - A).max() <= eps
 
 
 def test_exact_gaps_exceed_every_admissible_eps():

@@ -334,7 +334,7 @@ def profile(frame, event, arg):  # each validation made while chm imports, by th
     if event == "call" and code.co_name == "as_matrix" and code.co_filename.endswith(os.path.join("chm", "core.py")):
         validated.append(np.asarray(frame.f_locals["entries"], np.complex128).tobytes().hex())
 sys.setprofile(profile)
-import chm
+import chm.families  # the import that builds the registry: a bare `import chm` loads no submodule
 sys.setprofile(None)
 from chm.core import _KEPT, _chm_residual, _recent
 kept = [e.name for e in chm.registry_entries() if _chm_residual in _KEPT[id(e.matrix)]._cache]

@@ -334,6 +334,18 @@ def exact_census_2x2(K):
     ]
 
 
+def exact_h2(K):
+    """First row/column pairing, in lexicographic order, whose nine blocks are
+    all among the exact 2x2 sub-CHMs of exact_census_2x2, or None."""
+    hits = {(loc.rows, loc.cols) for loc in exact_census_2x2(K)}
+    pairings = [tuple((a + 1, b + 1) for a, b in pairing) for pairing in PAIRINGS]
+    for rp in pairings:
+        for cp in pairings:
+            if all((r, c) in hits for r in rp for c in cp):
+                return H2Structure(row_pairing=rp, col_pairing=cp)
+    return None
+
+
 def _orthogonal_exactly(u, v):
     # Three 12th roots sum to zero iff they are 120 degrees apart: {x, x+4, x+8}.
     return sorted((u - v) % 12) in ([x, x + 4, x + 8] for x in range(4))
